@@ -73,4 +73,4 @@ from .solvers import (
 )
 from .parallel import get_num_threads, set_num_threads
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -103,12 +103,16 @@ class SpatialMatrix:
         out._scale = c * self._scale
         return out
 
+    def as_scaled(self) -> tuple["SpatialMatrix", float]:
+        """(base, s) with self == s * base, base the operator it was scaled from."""
+        return (self._base if self._base is not None else self), self._scale
+
     def proportionality(self, other: "SpatialMatrix") -> float | None:
         """Return s with self == s * other when known structurally, else None."""
-        a_root = self._base if self._base is not None else self
-        b_root = other._base if other._base is not None else other
+        a_root, a_scale = self.as_scaled()
+        b_root, b_scale = other.as_scaled()
         if a_root is b_root:
-            return self._scale / other._scale
+            return a_scale / b_scale
         return None
 
     def __matmul__(self, x):

@@ -1,7 +1,8 @@
 """Shared-memory thread pool for the time-parallel block loops.
 
 A single process-wide pool is configured once (typically by the CLI).  Block
-maps write to disjoint output slots, so results are deterministic and
+maps write to disjoint output slots, and every column of a chunk goes through
+the same arithmetic as it would alone, so results are deterministic and
 independent of the thread count.
 """
 
@@ -41,3 +42,16 @@ def block_map(fn: Callable[[int], None], count: int) -> None:
             fn(k)
         return
     list(pool.map(fn, range(count)))
+
+
+def chunks(count: int) -> list[slice]:
+    """Split range(count) into at most get_num_threads() contiguous slices."""
+    parts = max(1, min(_num_threads, count))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def chunk_map(fn: Callable[[slice], None], count: int) -> None:
+    """Run fn(cols) over chunks(count); fn must write only to its own columns."""
+    parts = chunks(count)
+    block_map(lambda i: fn(parts[i]), len(parts))

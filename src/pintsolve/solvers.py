@@ -24,7 +24,6 @@ class UzawaConfig:
     max_iter: int = 200
     tol: float = 1e-8
     stopping: str = "preconditioned_residual"  # or "s_norm_error"
-    record_history: bool = True
     diagnostics: bool = False  # record exact error norms against the oracle
 
     def __post_init__(self):
@@ -125,34 +124,55 @@ def compute_rate_report(
 
 
 class BlockDiagSolver:
-    """Preconditioner for the per-step block: tau_n times a spatial solver."""
+    """Preconditioner for the per-step block: tau_n times a spatial solver.
+
+    Steps whose stiffness operators are scalings of one base operator share
+    that base's solver; each distinct solver is applied once per block, to
+    the columns of its steps, and the scales fold into the per-step divisor.
+    """
 
     def __init__(self, spec: ProblemSpec, kind: str = "direct",
                  hierarchy: MgHierarchy | None = None, **opts):
         self.spec = spec
         self.kind = kind
-        cache: dict[int, SpatialSolver] = {}
-        self.solvers: list[SpatialSolver] = []
-        for a_n in spec.stiffness:
-            key = id(a_n)
-            if key not in cache:
-                cache[key] = make_solver(a_n, kind, hierarchy=hierarchy, **opts)
-            self.solvers.append(cache[key])
-        self.steps = spec.grid.steps
+        groups: dict[SpatialMatrix, tuple[list[int], list[float]]] = {}
+        for n, a_n in enumerate(spec.stiffness):
+            base, scale = a_n.as_scaled()
+            if scale <= 0.0:
+                raise NotSpdError(f"stiffness operator of step {n + 1} is not SPD")
+            rows, scales = groups.setdefault(base, ([], []))
+            rows.append(n)
+            scales.append(scale)
+        # (solver of the base, steps using it, tau_n * scale_n for those steps)
+        self._groups: list[tuple[SpatialSolver, np.ndarray, np.ndarray]] = [
+            (
+                make_solver(base, kind, hierarchy=hierarchy, **opts),
+                np.array(rows),
+                spec.grid.steps[rows] * np.array(scales),
+            )
+            for base, (rows, scales) in groups.items()
+        ]
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         out = np.empty_like(b)
+        tasks = [
+            (solver, rows[cols], divisor[cols])
+            for solver, rows, divisor in self._groups
+            for cols in parallel.chunks(len(rows))
+        ]
 
-        def block(n: int) -> None:
-            out[n] = self.solvers[n].apply(b[n]) / self.steps[n]
+        def task(i: int) -> None:
+            solver, rows, divisor = tasks[i]
+            out[rows] = (solver.apply(b[rows].T) / divisor).T
 
-        parallel.block_map(block, self.spec.N)
+        parallel.block_map(task, len(tasks))
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [t * s.forward(xn) for t, s, xn in zip(self.steps, self.solvers, x)]
-        )
+        out = np.empty_like(x)
+        for solver, rows, divisor in self._groups:
+            out[rows] = (solver.forward(x[rows].T) * divisor).T
+        return out
 
 
 def sequential_euler_solve(spec: ProblemSpec) -> np.ndarray:
@@ -251,6 +271,10 @@ def uzawa_solve(
             counters["fft"] - start_counters["fft"],
             counters["spatial"] - start_counters["spatial"],
         )
+        if not np.isfinite(res):
+            raise SolverDivergenceError(
+                f"non-finite residual at iteration {hist.iterations}"
+            )
         if res > 1e6 * first_res:
             raise SolverDivergenceError(
                 f"residual grew to {res:.3e} from {first_res:.3e}"
@@ -319,6 +343,10 @@ def minres_solve(
             counters["fft"] - start_counters["fft"],
             counters["spatial"] - start_counters["spatial"],
         )
+        if not np.isfinite(res):
+            raise SolverDivergenceError(
+                f"non-finite residual at iteration {hist.iterations}"
+            )
 
     w, info = spla.minres(op, g, M=mop, rtol=tol, maxiter=max_iter, callback=callback)
     hist.converged = info == 0

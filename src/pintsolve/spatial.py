@@ -9,12 +9,14 @@ preconditioners stay SPD.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import DimensionMismatchError, InputError, NotSpdError
 from .linalg import (
     SpatialMatrix,
     SpdFactor,
@@ -24,7 +26,11 @@ from . import timing
 
 
 class SpatialSolver:
-    """Approximate inverse of an SPD spatial operator."""
+    """Approximate inverse of an SPD spatial operator.
+
+    ``apply`` takes a vector of length ``dim`` or a ``(dim, m)`` block whose
+    columns are independent right-hand sides.
+    """
 
     target: SpatialMatrix
 
@@ -53,23 +59,100 @@ class DirectSolver(SpatialSolver):
         return self.target.dot(x)
 
 
-class JacobiSolver(SpatialSolver):
+class _Blend:
+    """The operators shift_j * mass + base, one per column of a block.
+
+    A single operator has no mass term; its one diagonal column then
+    broadcasts over any number of right-hand sides.
+    """
+
+    def __init__(self, base: sp.csr_matrix, mass: sp.csr_matrix | None):
+        self.base = base
+        self.mass = mass
+
+    def dot(self, x: np.ndarray, shifts: np.ndarray | None) -> np.ndarray:
+        y = self.base @ x
+        if self.mass is not None:
+            y += (self.mass @ x) * shifts
+        return y
+
+    def diagonal(self, shifts: np.ndarray | None) -> np.ndarray:
+        d = self.base.diagonal()[:, None]
+        if self.mass is not None:
+            d = d + self.mass.diagonal()[:, None] * shifts
+        return d
+
+    def coarsen(self, p: sp.csr_matrix) -> "_Blend":
+        """Galerkin coarse pair; exact because coarsening is linear in the blend."""
+        mass = None if self.mass is None else (p.T @ self.mass @ p).tocsr()
+        return _Blend((p.T @ self.base @ p).tocsr(), mass)
+
+
+class _BlendSolver(SpatialSolver):
+    """Shared set-up of the solvers that act on a whole family at once.
+
+    With ``mass`` and ``shifts`` given, column j of a ``(dim, len(shifts))``
+    right-hand side block is solved against shifts[j] * mass + target; without
+    them every column is solved against target.
+    """
+
+    def _init_blend(self, target: SpatialMatrix, mass: SpatialMatrix | None,
+                    shifts: np.ndarray | None) -> _Blend:
+        if (mass is None) != (shifts is None):
+            raise InputError("mass and shifts must be given together")
+        self.target = target
+        self._shifts = None
+        if mass is None:
+            return _Blend(target.tocsr(), None)
+        if mass.dim != target.dim:
+            raise DimensionMismatchError("mass and target dimensions differ")
+        self._shifts = np.asarray(shifts, dtype=np.float64).reshape(1, -1)
+        return _Blend(target.tocsr(), mass.tocsr())
+
+    def columns(self, cols: slice) -> "_BlendSolver":
+        """The same solver restricted to the shifts in cols; shares all arrays."""
+        if self._shifts is None:
+            return self
+        view = copy.copy(self)
+        view._shifts = self._shifts[:, cols]
+        view._scales = [a[:, cols] for a in self._scales]
+        return view
+
+    def _block(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape[0] != self.target.dim or b.ndim > 2:
+            raise DimensionMismatchError(
+                f"expected {self.target.dim} rows, got shape {b.shape}"
+            )
+        x = b.reshape(b.shape[0], -1)
+        if self._shifts is not None and self._shifts.shape[1] not in (1, x.shape[1]):
+            raise DimensionMismatchError(
+                f"{self._shifts.shape[1]} shifts for {x.shape[1]} right-hand sides"
+            )
+        return x
+
+
+class JacobiSolver(_BlendSolver):
     """Fixed number of damped Jacobi sweeps from a zero initial guess."""
 
-    def __init__(self, target: SpatialMatrix, sweeps: int = 1, damping: float = 2.0 / 3.0):
+    def __init__(self, target: SpatialMatrix, sweeps: int = 1, damping: float = 2.0 / 3.0,
+                 mass: SpatialMatrix | None = None, shifts: np.ndarray | None = None):
         if sweeps < 1:
             raise InputError("need at least one sweep")
-        self.target = target
+        self._op = self._init_blend(target, mass, shifts)
         self.sweeps = sweeps
         self.damping = damping
-        self._dinv = damping / target.diagonal()
+        # damped inverse diagonal, one column per shift
+        self._scales = [damping / self._op.diagonal(self._shifts)]
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         with timing.timed("spatial"):
-            x = self._dinv * b
+            rhs = self._block(b)
+            dinv = self._scales[0]
+            x = dinv * rhs
             for _ in range(self.sweeps - 1):
-                x += self._dinv * (b - self.target.dot(x))
-            return x
+                x += dinv * (rhs - self._op.dot(x, self._shifts))
+            return x.reshape(np.shape(b))
 
 
 def _prolongation_1d(coarse_cells: int) -> sp.csr_matrix:
@@ -113,11 +196,16 @@ def build_mg_hierarchy(space: str, fine_cells: int) -> MgHierarchy:
     return MgHierarchy(space=space, cells=cells, prolongations=prolongations)
 
 
-class MgVCycleSolver(SpatialSolver):
+class MgVCycleSolver(_BlendSolver):
     """Symmetric geometric multigrid V-cycles with damped Jacobi smoothing.
 
     Galerkin coarse operators; equal pre- and post-smoothing so that the
-    realized operator is symmetric positive definite.
+    realized operator is symmetric positive definite.  For a family
+    shifts[j] * mass + target one hierarchy of (mass, target) pairs serves
+    every member: each level costs two sparse products per block, the
+    smoother uses a per-column diagonal, and the coarsest level solves every
+    member from one dense generalized eigendecomposition
+    target_c V = mass_c V diag(lam), as V diag(1 / (shifts[j] + lam)) V'.
     """
 
     def __init__(
@@ -127,51 +215,68 @@ class MgVCycleSolver(SpatialSolver):
         cycles: int = 1,
         smooth_steps: int = 1,
         damping: float | None = None,
+        mass: SpatialMatrix | None = None,
+        shifts: np.ndarray | None = None,
     ):
-        self.target = target
+        ops = [self._init_blend(target, mass, shifts)]
         self.hierarchy = hierarchy
         self.cycles = cycles
         self.smooth_steps = smooth_steps
         if damping is None:
             damping = 2.0 / 3.0 if hierarchy.space == "1d" else 4.0 / 5.0
         self.damping = damping
-        ops = [target.tocsr()]
         for p in hierarchy.prolongations:
-            ops.append((p.T @ ops[-1] @ p).tocsr())
+            ops.append(ops[-1].coarsen(p))
         self._ops = ops
-        self._dinv = [damping / np.asarray(a.diagonal()) for a in ops]
-        self._coarse = SpdFactor(SpatialMatrix.from_sparse(ops[-1]))
-
-    def level_operator(self, level: int) -> sp.csr_matrix:
-        return self._ops[level]
+        coarse = ops[-1]
+        try:
+            lam, self._coarse_v = scipy.linalg.eigh(
+                coarse.base.toarray(),
+                None if coarse.mass is None else coarse.mass.toarray(),
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpdError(f"coarse mass is not SPD: {exc}") from exc
+        denom = lam[:, None] if self._shifts is None else lam[:, None] + self._shifts
+        if np.any(denom <= 0.0):
+            raise NotSpdError("coarse operator is not SPD")
+        # one column per shift and level: the damped inverse diagonal on the
+        # smoothing levels, the inverse spectrum on the coarsest
+        self._scales = [damping / op.diagonal(self._shifts) for op in ops[:-1]]
+        self._scales.append(1.0 / denom)
 
     def _vcycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self._ops) - 1:
-            return self._coarse.solve(b)
-        a = self._ops[level]
-        dinv = self._dinv[level]
+            v = self._coarse_v
+            return v @ (self._scales[level] * (v.T @ b))
+        op = self._ops[level]
+        shifts = self._shifts
+        dinv = self._scales[level]
         x = dinv * b
         for _ in range(self.smooth_steps - 1):
-            x += dinv * (b - a.dot(x))
+            x += dinv * (b - op.dot(x, shifts))
         p = self.hierarchy.prolongations[level]
-        r = b - a.dot(x)
-        x = x + p.dot(self._vcycle(level + 1, p.T.dot(r)))
+        r = b - op.dot(x, shifts)
+        x = x + p @ self._vcycle(level + 1, p.T @ r)
         for _ in range(self.smooth_steps):
-            x += dinv * (b - a.dot(x))
+            x += dinv * (b - op.dot(x, shifts))
         return x
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         with timing.timed("spatial"):
-            x = self._vcycle(0, b)
-            a = self._ops[0]
+            rhs = self._block(b)
+            x = self._vcycle(0, rhs)
             for _ in range(self.cycles - 1):
-                x += self._vcycle(0, b - a.dot(x))
-            return x
+                x += self._vcycle(0, rhs - self._ops[0].dot(x, self._shifts))
+            return x.reshape(np.shape(b))
 
 
 def make_solver(target: SpatialMatrix, kind: str, hierarchy: MgHierarchy | None = None,
                 **opts) -> SpatialSolver:
-    """Solver factory: kind in {direct, jacobi, mg}."""
+    """Solver factory: kind in {direct, jacobi, mg}.
+
+    The inexact kinds also take ``mass`` and ``shifts`` (see ``_BlendSolver``)
+    to solve a whole family of shifted operators at once.
+    """
     if kind == "direct":
         return DirectSolver(target)
     if kind == "jacobi":

@@ -187,3 +187,63 @@ class TestHistoryCsv:
         assert float(first[1]) == hist.residual[0]
         # every recorded float survives the round trip exactly
         assert float(first[2]) == hist.s_norm_error[0]
+
+
+class TestBlockDiagSolver:
+    @pytest.mark.parametrize("kind", ["direct", "mg"])
+    def test_proportional_steps_match_per_step_solvers(self, kind):
+        # a time-dependent coefficient makes every step operator a different
+        # multiple of one stiffness matrix; the shared solver must still
+        # apply each step's own inverse
+        grid = ps.build_time_grid("perturbed", 10, 1.0, perturbation=0.3, seed=5)
+        spec = ps.make_heat_problem("2d", 8, grid, data="zero",
+                                    coeff=lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
+        hier = ps.build_mg_hierarchy("2d", 8)
+        at = ps.BlockDiagSolver(spec, kind, hierarchy=hier)
+        b = np.random.default_rng(2).standard_normal((spec.N, spec.dim))
+        ref = np.stack([
+            ps.make_solver(a_n, kind, hierarchy=hier).apply(b_n) / tau
+            for a_n, b_n, tau in zip(spec.stiffness, b, spec.grid.steps)
+        ])
+        got = at.apply_inverse(b)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestNonFiniteData:
+    @staticmethod
+    def nan_load_problem():
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        spec.load[3, 2] = np.nan
+        return spec
+
+    def test_uzawa_raises_on_nan_residual(self):
+        system, at, ht = setup(self.nan_load_problem())
+        with pytest.raises(SolverDivergenceError, match="non-finite"):
+            ps.uzawa_solve(system, at, ht, ps.UzawaConfig(max_iter=50))
+
+    def test_minres_raises_on_nan_residual(self):
+        system, at, ht = setup(self.nan_load_problem())
+        with pytest.raises(SolverDivergenceError, match="non-finite"):
+            ps.minres_solve(system, at, ht, max_iter=50)
+
+
+class TestThreadCountIndependence:
+    @pytest.mark.parametrize("solver", ["mg", "direct"])
+    def test_uzawa_iterates_bit_identical_on_one_and_two_threads(self, solver):
+        grid = ps.build_time_grid("uniform", 12, 1.0)
+        spec = ps.make_heat_problem("2d", 8, grid, data="sine")
+        cfg = ps.UzawaConfig(tol=1e-10, max_iter=100)
+        runs = []
+        try:
+            for threads in (1, 2):
+                ps.set_num_threads(threads)
+                system, at, ht = setup(spec, solver)
+                runs.append(ps.uzawa_solve(system, at, ht, cfg))
+        finally:
+            ps.set_num_threads(1)
+        ((p1, u1), h1), ((p2, u2), h2) = runs
+        assert h1.converged
+        assert h1.residual == h2.residual
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(u1, u2)
