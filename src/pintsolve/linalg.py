@@ -24,11 +24,12 @@ DEFAULT_DENSE_EIG_LIMIT = 20_000
 class SpatialMatrix:
     """Sparse symmetric operator on the spatial space.
 
-    Only the upper triangle is stored canonically; the full operator is
-    materialized once as CSR for fast products.  Instances are immutable.
+    The full operator is stored once, as canonical CSR, for fast products;
+    the upper-triangle coordinates ``rows``, ``cols`` and ``vals`` (used for
+    serialization) are derived from it on access.  Instances are immutable.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals", "_csr", "_base", "_scale")
+    __slots__ = ("dim", "_csr", "_base", "_scale")
 
     def __init__(self, dim: int, rows, cols, vals):
         if dim <= 0:
@@ -43,25 +44,44 @@ class SpatialMatrix:
         upper = sp.coo_matrix((vals, (r, c)), shape=(dim, dim)).tocsr()
         upper.sum_duplicates()
         upper = upper.tocoo()
-        self.dim = int(dim)
-        self.rows = upper.row
-        self.cols = upper.col
-        self.vals = upper.data
-        strict = self.rows < self.cols
+        strict = upper.row < upper.col
         full = sp.coo_matrix(
             (
-                np.concatenate([self.vals, self.vals[strict]]),
+                np.concatenate([upper.data, upper.data[strict]]),
                 (
-                    np.concatenate([self.rows, self.cols[strict]]),
-                    np.concatenate([self.cols, self.rows[strict]]),
+                    np.concatenate([upper.row, upper.col[strict]]),
+                    np.concatenate([upper.col, upper.row[strict]]),
                 ),
             ),
             shape=(dim, dim),
         )
-        self._csr = full.tocsr()
+        self._init(full.tocsr())
+
+    def _init(self, csr: sp.csr_matrix) -> None:
+        self.dim = int(csr.shape[0])
+        self._csr = csr
         # proportionality provenance, used by compute_alpha fast path
         self._base: SpatialMatrix | None = None
         self._scale = 1.0
+
+    @classmethod
+    def _from_csr(cls, csr: sp.csr_matrix) -> "SpatialMatrix":
+        """Wrap a canonical, exactly symmetric CSR matrix without copying it."""
+        out = cls.__new__(cls)
+        out._init(csr)
+        return out
+
+    @property
+    def rows(self) -> np.ndarray:
+        return sp.triu(self._csr, format="coo").row
+
+    @property
+    def cols(self) -> np.ndarray:
+        return sp.triu(self._csr, format="coo").col
+
+    @property
+    def vals(self) -> np.ndarray:
+        return sp.triu(self._csr, format="coo").data
 
     @classmethod
     def from_sparse(cls, m) -> "SpatialMatrix":
@@ -97,10 +117,9 @@ class SpatialMatrix:
         return self._csr.dot(x)
 
     def scaled(self, c: float) -> "SpatialMatrix":
-        out = SpatialMatrix(self.dim, self.rows, self.cols, c * self.vals)
-        root = self._base if self._base is not None else self
-        out._base = root
-        out._scale = c * self._scale
+        out = SpatialMatrix._from_csr(c * self._csr)
+        out._base, scale = self.as_scaled()
+        out._scale = c * scale
         return out
 
     def as_scaled(self) -> tuple["SpatialMatrix", float]:
@@ -120,15 +139,13 @@ class SpatialMatrix:
 
 
 def add_matrices(a: float, x: SpatialMatrix, b: float, y: SpatialMatrix) -> SpatialMatrix:
-    """Linear combination a*X + b*Y of two symmetric sparse operators."""
+    """Linear combination a*X + b*Y of two symmetric sparse operators.
+
+    Entries that cancel exactly are dropped from the sparsity pattern.
+    """
     if x.dim != y.dim:
         raise DimensionMismatchError("operator dimensions differ")
-    return SpatialMatrix(
-        x.dim,
-        np.concatenate([x.rows, y.rows]),
-        np.concatenate([x.cols, y.cols]),
-        np.concatenate([a * x.vals, b * y.vals]),
-    )
+    return SpatialMatrix._from_csr(a * x._csr + b * y._csr)
 
 
 def spmv(mat: SpatialMatrix, x: np.ndarray) -> np.ndarray:

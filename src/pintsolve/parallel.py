@@ -1,9 +1,9 @@
 """Shared-memory thread pool for the time-parallel block loops.
 
 A single process-wide pool is configured once (typically by the CLI).  Block
-maps write to disjoint output slots, and every column of a chunk goes through
-the same arithmetic as it would alone, so results are deterministic and
-independent of the thread count.
+maps write to disjoint output slots, and the batched solvers treat each
+column of a chunk exactly as they would in any other chunk, so results are
+deterministic and independent of the thread count.
 """
 
 from __future__ import annotations
