@@ -89,25 +89,26 @@ class _Blend:
 
 
 class _BlendSolver(SpatialSolver):
-    """Shared set-up of the solvers that act on a whole family at once.
+    """Solvers that can act on a whole family of shifted operators at once.
 
     With ``mass`` and ``shifts`` given, column j of a ``(dim, len(shifts))``
     right-hand side block is solved against shifts[j] * mass + target; without
-    them every column is solved against target.
+    them every column is solved against target.  Subclasses keep their
+    per-column arrays in ``_scales``, which ``columns`` slices.
     """
 
-    def _init_blend(self, target: SpatialMatrix, mass: SpatialMatrix | None,
-                    shifts: np.ndarray | None) -> _Blend:
+    def __init__(self, target: SpatialMatrix, mass: SpatialMatrix | None,
+                 shifts: np.ndarray | None):
         if (mass is None) != (shifts is None):
             raise InputError("mass and shifts must be given together")
         self.target = target
         self._shifts = None
-        if mass is None:
-            return _Blend(target.tocsr(), None)
-        if mass.dim != target.dim:
-            raise DimensionMismatchError("mass and target dimensions differ")
-        self._shifts = np.asarray(shifts, dtype=np.float64).reshape(1, -1)
-        return _Blend(target.tocsr(), mass.tocsr())
+        if mass is not None:
+            if mass.dim != target.dim:
+                raise DimensionMismatchError("mass and target dimensions differ")
+            self._shifts = np.asarray(shifts, dtype=np.float64).reshape(1, -1)
+            mass = mass.tocsr()
+        self._op = _Blend(target.tocsr(), mass)
 
     def columns(self, cols: slice) -> "_BlendSolver":
         """The same solver restricted to the shifts in cols; shares all arrays."""
@@ -120,7 +121,7 @@ class _BlendSolver(SpatialSolver):
 
     def _block(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.target.dim or b.ndim > 2:
+        if b.ndim not in (1, 2) or b.shape[0] != self.target.dim:
             raise DimensionMismatchError(
                 f"expected {self.target.dim} rows, got shape {b.shape}"
             )
@@ -139,7 +140,7 @@ class JacobiSolver(_BlendSolver):
                  mass: SpatialMatrix | None = None, shifts: np.ndarray | None = None):
         if sweeps < 1:
             raise InputError("need at least one sweep")
-        self._op = self._init_blend(target, mass, shifts)
+        super().__init__(target, mass, shifts)
         self.sweeps = sweeps
         self.damping = damping
         # damped inverse diagonal, one column per shift
@@ -218,13 +219,14 @@ class MgVCycleSolver(_BlendSolver):
         mass: SpatialMatrix | None = None,
         shifts: np.ndarray | None = None,
     ):
-        ops = [self._init_blend(target, mass, shifts)]
+        super().__init__(target, mass, shifts)
         self.hierarchy = hierarchy
         self.cycles = cycles
         self.smooth_steps = smooth_steps
         if damping is None:
             damping = 2.0 / 3.0 if hierarchy.space == "1d" else 4.0 / 5.0
         self.damping = damping
+        ops = [self._op]
         for p in hierarchy.prolongations:
             ops.append(ops[-1].coarsen(p))
         self._ops = ops
@@ -266,7 +268,7 @@ class MgVCycleSolver(_BlendSolver):
             rhs = self._block(b)
             x = self._vcycle(0, rhs)
             for _ in range(self.cycles - 1):
-                x += self._vcycle(0, rhs - self._ops[0].dot(x, self._shifts))
+                x += self._vcycle(0, rhs - self._op.dot(x, self._shifts))
             return x.reshape(np.shape(b))
 
 
