@@ -10,9 +10,8 @@ and its inverse is the plain type-II DST,
     u_n = sum_k uhat_k sin((2k-1) n pi / (2N)).
 
 Transforms act along axis 0 of an (N, dim) block vector, component-wise
-over the spatial dimension.  The fast path (power-of-two N) maps these to
-the standard real fast transforms; other lengths fall back to a dense
-precomputed kernel.
+over the spatial dimension, and map to the standard real fast transforms
+(``scipy.fft.dst``) for every N.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ from .errors import DimensionMismatchError
 from . import timing
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 class DstPlan:
     """Reusable transform plan for a fixed number of time blocks."""
 
@@ -35,11 +30,13 @@ class DstPlan:
         if N < 1:
             raise DimensionMismatchError("transform length must be >= 1")
         self.N = N
-        self.fast = _is_pow2(N)
         self._kernel: np.ndarray | None = None
 
     def kernel(self) -> np.ndarray:
-        """Dense (N, N) table sin((2k-1) n pi / (2N)), k rows, n columns."""
+        """Dense (N, N) table sin((2k-1) n pi / (2N)), k rows, n columns.
+
+        Used by test oracles only; the transforms never form it.
+        """
         if self._kernel is None:
             k = np.arange(1, self.N + 1)[:, None]
             n = np.arange(1, self.N + 1)[None, :]
@@ -58,39 +55,27 @@ class DstPlan:
         """Apply the weighted type-III DST (the analysis map)."""
         u = self._check(u)
         with timing.timed("fft"):
-            if self.fast:
-                return scipy.fft.dst(u, type=3, axis=0) / self.N
-            w = u.copy()
-            w[-1] *= 0.5
-            return (2.0 / self.N) * np.tensordot(self.kernel(), w, axes=(1, 0))
+            return scipy.fft.dst(u, type=3, axis=0) / self.N
 
     def inverse(self, uhat: np.ndarray) -> np.ndarray:
         """Apply the type-II DST (the synthesis map)."""
         uhat = self._check(uhat)
         with timing.timed("fft"):
-            if self.fast:
-                return scipy.fft.dst(uhat, type=2, axis=0) / 2.0
-            return np.tensordot(self.kernel().T, uhat, axes=(1, 0))
+            return scipy.fft.dst(uhat, type=2, axis=0) / 2.0
 
     def forward_transpose(self, v: np.ndarray) -> np.ndarray:
         v = self._check(v)
         with timing.timed("fft"):
-            if self.fast:
-                out = scipy.fft.dst(v, type=2, axis=0) / self.N
-                out[-1] *= 0.5
-                return out
-            out = (2.0 / self.N) * np.tensordot(self.kernel().T, v, axes=(1, 0))
+            out = scipy.fft.dst(v, type=2, axis=0) / self.N
             out[-1] *= 0.5
             return out
 
     def inverse_transpose(self, u: np.ndarray) -> np.ndarray:
         u = self._check(u)
         with timing.timed("fft"):
-            if self.fast:
-                w = u.copy()
-                w[-1] *= 2.0
-                return scipy.fft.dst(w, type=3, axis=0) / 2.0
-            return np.tensordot(self.kernel(), u, axes=(1, 0))
+            w = u.copy()
+            w[-1] *= 2.0
+            return scipy.fft.dst(w, type=3, axis=0) / 2.0
 
     # dense matrix representations, used by test oracles only
     def forward_matrix(self) -> np.ndarray:

@@ -8,7 +8,6 @@ block vectors ``(p, u)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np

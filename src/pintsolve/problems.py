@@ -31,10 +31,11 @@ class TimeGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
         object.__setattr__(self, "nodes", nodes)
+        if not np.all(np.isfinite(nodes)):
+            raise InputError("time grid nodes must be finite")
         if nodes[0] != 0.0:
             raise InputError("time grid must start at t = 0")
-        steps = np.diff(nodes)
-        if np.any(steps <= 0.0):
+        if np.any(np.diff(nodes) <= 0.0):
             raise InputError("time-step lengths must be positive")
 
     @property
@@ -256,8 +257,8 @@ def make_heat_problem(
     if coeff is None:
         coeff = lambda t: 1.0  # noqa: E731
     c_vals = np.array([coeff(t) for t in grid.nodes[1:]], dtype=np.float64)
-    if np.any(c_vals <= 0.0):
-        raise InputError("diffusion coefficient must be positive")
+    if not np.all(np.isfinite(c_vals) & (c_vals > 0.0)):
+        raise InputError("diffusion coefficient must be positive and finite")
     stiffness = [a_base if c == 1.0 else a_base.scaled(float(c)) for c in c_vals]
 
     if data == "sine":
@@ -344,17 +345,53 @@ def save_problem(spec: ProblemSpec, path: str) -> None:
             _write_vector(fh, f"f_{n + 1}", spec.load[n])
 
 
+class _LineReader:
+    """Sequential reader whose errors name the 1-based line number."""
+
+    def __init__(self, lines: list[str]):
+        self._lines = lines
+        self.number = 0  # lines consumed so far
+
+    def __iter__(self):
+        while self.number < len(self._lines):
+            yield self.next()
+
+    def next(self) -> str:
+        if self.number == len(self._lines):
+            raise self.error("unexpected end of file", self.number + 1)
+        self.number += 1
+        return self._lines[self.number - 1]
+
+    def section(self, keyword: str) -> list[str]:
+        tok = self.next().split()
+        if tok[:1] != [keyword]:
+            raise self.error(f"expected section {keyword!r}")
+        return tok
+
+    def floats(self, count: int) -> np.ndarray:
+        return np.array([float(self.next()) for _ in range(count)])
+
+    def error(self, message: str, number: int | None = None) -> InputError:
+        return InputError(f"line {self.number if number is None else number}: {message}")
+
+
 def load_problem(path: str) -> ProblemSpec:
     with open(path) as fh:
-        lines = iter(fh.read().splitlines())
-    if next(lines) != "pintsolve-problem 1":
+        lines = _LineReader(fh.read().splitlines())
+    try:
+        return _parse_problem(lines)
+    except InputError:
+        raise
+    except (ValueError, IndexError) as exc:  # bad number or token count
+        raise lines.error(f"malformed line ({exc})") from exc
+
+
+def _parse_problem(lines: _LineReader) -> ProblemSpec:
+    if lines.next() != "pintsolve-problem 1":
         raise InputError("unrecognized problem file header")
-    tok = next(lines).split()
-    assert tok[0] == "grid"
-    N = int(tok[1])
-    nodes = np.array([float(next(lines)) for _ in range(N + 1)])
-    tok = next(lines).split()
-    assert tok[0] == "scalars"
+    N = int(lines.section("grid")[1])
+    nodes = lines.floats(N + 1)
+    tok = lines.section("scalars")
     tau_ref, alpha = float(tok[1]), float(tok[2])
     matrices: dict[str, SpatialMatrix] = {}
     vectors: dict[str, np.ndarray] = {}
@@ -365,30 +402,34 @@ def load_problem(path: str) -> ProblemSpec:
             name, dim, nnz = tok[1], int(tok[2]), int(tok[3])
             rows, cols, vals = [], [], []
             for _ in range(nnz):
-                i, j, v = next(lines).split()
+                i, j, v = lines.next().split()
                 rows.append(int(i))
                 cols.append(int(j))
                 vals.append(float(v))
             matrices[name] = SpatialMatrix(dim, rows, cols, vals)
         elif tok[0] == "stepscales":
-            scales = np.array([float(next(lines)) for _ in range(int(tok[1]))])
+            scales = lines.floats(int(tok[1]))
         elif tok[0] == "vector":
-            name, length = tok[1], int(tok[2])
-            vectors[name] = np.array([float(next(lines)) for _ in range(length)])
+            vectors[tok[1]] = lines.floats(int(tok[2]))
         else:
-            raise InputError(f"unrecognized section {tok[0]!r}")
-    a_ref = matrices["A_ref"]
+            raise lines.error(f"unrecognized section {tok[0]!r}")
+
+    def need(table: dict, name: str):
+        if name not in table:
+            raise lines.error(f"file ends without section {name!r}", lines.number + 1)
+        return table[name]
+
+    a_ref = need(matrices, "A_ref")
     if scales is not None:
         stiffness = [a_ref.scaled(float(s)) for s in scales]
     else:
-        stiffness = [matrices[f"A_{n + 1}"] for n in range(N)]
-    load = np.stack([vectors[f"f_{n + 1}"] for n in range(N)])
+        stiffness = [need(matrices, f"A_{n + 1}") for n in range(N)]
     return ProblemSpec(
-        mass=matrices["M"],
+        mass=need(matrices, "M"),
         stiffness=stiffness,
         grid=TimeGrid(nodes),
-        load=load,
-        u_init=vectors["u_init"],
+        load=np.stack([need(vectors, f"f_{n + 1}") for n in range(N)]),
+        u_init=need(vectors, "u_init"),
         tau_ref=tau_ref,
         a_ref=a_ref,
         alpha=alpha,

@@ -5,7 +5,10 @@ block-diagonal: mode k carries the SPD spatial blend H_k = mu_k M + tau A
 with frequency weight mu_k = 2 sin((2k-1) pi / (4N)).  One inverse
 application is transform, per-mode solve-multiply-solve, inverse transform.
 The inexact kinds run the solves of all modes as one batched solver
-application on the (dim, N) block of modes.
+application on the (dim, N) block of modes.  The direct kind diagonalizes
+the spatial pencil once (fast diagonalization): with tau A V = M V diag(lam)
+and V' M V = I, every H_k^-1 A H_k^-1 is V diag(lam / (tau (mu_k + lam)^2)) V',
+so one application is two dense products on the whole block.
 """
 
 from __future__ import annotations
@@ -14,13 +17,25 @@ import operator
 from collections.abc import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .dst import DstPlan
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, NotSpdError
 from .linalg import SpatialMatrix, SpdFactor, add_matrices
 from .problems import ProblemSpec
 from .spatial import MgHierarchy, SpatialSolver, build_mg_hierarchy, make_solver
 from . import parallel, timing
+
+
+# Largest spatial dimension for which the direct kind uses the dense
+# eigendecomposition; above it, one sparse LU factorization per mode.  The
+# dense basis costs O(dim^3) to set up, O(dim^2 N) per application and
+# 8 dim^2 bytes, against sparse factors that grow almost linearly in dim.
+# Measured at N = 256 on one BLAS thread, the per-application crossover is
+# near dim 800 in 1d (tridiagonal factors) and near dim 2000 in 2d; this
+# limit puts every power-of-two mesh (1d dim <= 511, 2d dim 961 on the
+# eigenbasis; 1d dim >= 1023, 2d dim >= 3969 on LU) on its faster side.
+EIG_DIM_LIMIT = 1000
 
 
 def frequency_weights(N: int) -> np.ndarray:
@@ -46,12 +61,13 @@ class _Views(Sequence):
 class SchurPreconditioner:
     """Holds the frequency-mode solvers; immutable after build.
 
-    The direct kind factorizes each mode.  The inexact kinds (``mg`` and
-    ``jacobi``) build one solver for the whole family mu_k M + tau A and
-    apply it to all modes at once, as a (dim, N) block.  ``blocks[k]`` and
-    ``solvers[k]`` give the per-mode operators and solvers; for the inexact
-    kinds they are built on access, the solvers as column views of the
-    batched one.
+    The direct kind diagonalizes the pencil (tau A, M) once when
+    ``dim <= EIG_DIM_LIMIT`` and factorizes each mode otherwise.  The inexact
+    kinds (``mg`` and ``jacobi``) build one solver for the whole family
+    mu_k M + tau A and apply it to all modes at once, as a (dim, N) block.
+    ``blocks[k]`` and ``solvers[k]`` give the per-mode operators and solvers;
+    unless the direct kind factorized each mode they are built on access, the
+    inexact solvers as column views of the batched one.
     """
 
     def __init__(
@@ -71,9 +87,14 @@ class SchurPreconditioner:
         self.solver_kind = solver_kind
         self._tau_a = spec.a_ref.scaled(spec.tau_ref)
         self._direct: list[SpatialSolver] | None = None
+        # (V, D): the direct kind's basis and per-mode spectral weights, with
+        # row k of D the diagonal of V^-1 (2 tau / N) H_k^-1 A H_k^-1 V^-T
+        self._eig: tuple[np.ndarray, np.ndarray] | None = None
         # the one solver of the whole family (inexact kinds only)
         self.batched: SpatialSolver | None = None
-        if solver_kind == "direct":
+        if solver_kind == "direct" and self.dim <= EIG_DIM_LIMIT:
+            self._eig = self._diagonalize()
+        elif solver_kind == "direct":
             self._direct = [make_solver(h_k, "direct") for h_k in self.blocks]
         else:
             self.batched = make_solver(
@@ -94,7 +115,24 @@ class SchurPreconditioner:
         """Per-mode approximate inverses of ``blocks[k]``."""
         if self._direct is not None:
             return self._direct
+        if self.batched is None:
+            return _Views(self.N, lambda k: make_solver(self.blocks[k], "direct"))
         return _Views(self.N, lambda k: self.batched.columns(slice(k, k + 1)))
+
+    def _diagonalize(self) -> tuple[np.ndarray, np.ndarray]:
+        with timing.timed("spatial"):
+            try:
+                lam, v = scipy.linalg.eigh(
+                    self._tau_a.todense(), self.mass.todense(),
+                    overwrite_a=True, overwrite_b=True,
+                )
+            except scipy.linalg.LinAlgError as exc:
+                raise NotSpdError(f"mass matrix is not SPD: {exc}") from exc
+        denom = self.mu[:, None] + lam
+        if np.any(denom <= 0.0):
+            raise NotSpdError("frequency-mode blend is not SPD")
+        # 2 tau / N times lam / (tau (mu_k + lam)^2); tau cancels
+        return v, (2.0 / self.N) * lam / denom**2
 
     def _blend(self, x: np.ndarray) -> np.ndarray:
         """Column k of x times H_k, for a (dim, N) block x."""
@@ -112,6 +150,13 @@ class SchurPreconditioner:
         """Approximate Schur-complement inverse: one preconditioner action."""
         r = self._check(r)
         rhat = self.plan.inverse_transpose(r)
+        if self._eig is not None:
+            # one product per side on the whole block; chunking the columns
+            # would not be bit-identical across thread counts
+            v, d = self._eig
+            with timing.timed("spatial"):
+                out = ((rhat @ v) * d) @ v.T
+            return self.plan.inverse(out)
         scale = 2.0 * self.tau_ref / self.N
         out = np.empty_like(rhat)
 

@@ -4,7 +4,7 @@ import pytest
 import pintsolve as ps
 from pintsolve.errors import InputError
 
-SIZES = list(range(1, 17)) + [24, 31, 32, 64, 100, 128]
+SIZES = list(range(1, 17)) + [24, 31, 32, 64, 100, 128, 200, 1000]
 
 
 def naive_kernel(N):
@@ -81,7 +81,7 @@ class TestInverseAndTransposeIdentities:
 
 
 class TestBasisOrthogonality:
-    @pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 12, 17, 64, 200])
     def test_weighted_orthogonality(self, N):
         # sum_n (1 + [n == N])^{-1} phi_k(n) phi_j(n) = (N/2) delta_kj
         phi = naive_kernel(N)
@@ -90,7 +90,7 @@ class TestBasisOrthogonality:
         gram = phi.T @ (w[:, None] * phi)
         assert np.allclose(gram, (N / 2.0) * np.eye(N), atol=1e-10)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 12, 17, 64, 200])
     def test_jump_orthogonality(self, N):
         # sum_n (phi_k(n) - phi_k(n-1))(phi_j(n) - phi_j(n-1)) = (N/2) mu_k^2 d_kj
         phi = np.vstack([np.zeros(N), naive_kernel(N)])
@@ -108,6 +108,16 @@ class TestBlockTransforms:
         got = plan.forward(u)
         for j in range(5):
             assert np.allclose(got[:, j], plan.forward(u[:, j]))
+
+    @pytest.mark.parametrize("N", [3, 12, 200])
+    def test_blocks_match_naive_formulas(self, N):
+        rng = np.random.default_rng(N + 5)
+        plan = ps.DstPlan(N)
+        u = rng.standard_normal((N, 4))
+        fwd = np.column_stack([naive_forward(c) for c in u.T])
+        inv = np.column_stack([naive_inverse(c) for c in u.T])
+        assert np.allclose(plan.forward(u), fwd, atol=1e-13)
+        assert np.allclose(plan.inverse(u), inv, atol=1e-12)
 
 
 class TestValidation:

@@ -32,6 +32,13 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             ps.build_time_grid("nope", 4, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_nodes(self, bad):
+        with pytest.raises(InputError):
+            ps.TimeGrid(np.array([0.0, 0.5, bad, 1.0]))
+        with pytest.raises(InputError):
+            ps.TimeGrid(np.array([0.0, 0.5, 1.0, bad]))
+
 
 class TestAssembly1d:
     def test_two_cells(self):
@@ -169,6 +176,12 @@ class TestMakeHeatProblem:
         with pytest.raises(InputError):
             ps.make_heat_problem("1d", 8, grid, coeff=lambda t: t - 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficient(self, bad):
+        grid = ps.build_time_grid("uniform", 4, 1.0)
+        with pytest.raises(InputError):
+            ps.make_heat_problem("1d", 8, grid, coeff=lambda t: bad if t > 0.6 else 1.0)
+
     def test_rejects_unknown_space_and_data(self):
         grid = ps.build_time_grid("uniform", 4, 1.0)
         with pytest.raises(InputError):
@@ -209,4 +222,30 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("not-a-problem\n")
         with pytest.raises(InputError):
+            ps.load_problem(str(path))
+
+    @staticmethod
+    def saved_lines(tmp_path) -> list[str]:
+        grid = ps.build_time_grid("uniform", 3, 1.0)
+        spec = ps.make_heat_problem("1d", 4, grid, data="random", seed=1)
+        path = tmp_path / "good.txt"
+        ps.save_problem(spec, str(path))
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("keep", [1, 2, 4, 7, 20])
+    def test_rejects_truncated_file(self, tmp_path, keep):
+        lines = self.saved_lines(tmp_path)
+        path = tmp_path / "short.txt"
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(InputError, match=f"line {keep + 1}"):
+            ps.load_problem(str(path))
+
+    @pytest.mark.parametrize("index,keyword", [(1, "grid"), (6, "scalars")])
+    def test_rejects_wrong_section_keyword(self, tmp_path, index, keyword):
+        lines = self.saved_lines(tmp_path)
+        assert lines[index].split()[0] == keyword
+        lines[index] = "bogus" + lines[index][len(keyword):]
+        path = tmp_path / "renamed.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"line {index + 1}.*{keyword}"):
             ps.load_problem(str(path))

@@ -119,12 +119,14 @@ class TestBuilder:
 
 
 class TestBatchedModes:
-    """The batched inexact preconditioner against one solver per mode."""
+    """The batched preconditioners against one solver per mode."""
 
     @staticmethod
     def per_mode_reference(ht, spec, kind, hierarchy):
         if kind == "mg":
             solvers = [ps.MgVCycleSolver(h_k, hierarchy) for h_k in ht.blocks]
+        elif kind == "direct":  # one sparse factorization per mode
+            solvers = [ps.DirectSolver(h_k) for h_k in ht.blocks]
         else:
             solvers = [ps.JacobiSolver(h_k, sweeps=2) for h_k in ht.blocks]
 
@@ -160,6 +162,24 @@ class TestBatchedModes:
             assert np.linalg.norm(col - batched[:, k]) <= 1e-12 * np.linalg.norm(
                 batched[:, k]
             )
+
+    @pytest.mark.parametrize("space,cells", [("1d", 16), ("2d", 8)])
+    @pytest.mark.parametrize("N", [8, 12, 64])
+    @pytest.mark.parametrize("eig_limit", [ps.schur.EIG_DIM_LIMIT, 0])
+    def test_direct_matches_per_mode_factors(self, space, cells, N, eig_limit,
+                                             monkeypatch):
+        # both sides of the dimension cutoff: the eigendecomposition path by
+        # default, the per-mode LU path when the cutoff is forced below dim
+        monkeypatch.setattr(ps.schur, "EIG_DIM_LIMIT", eig_limit)
+        grid = ps.build_time_grid("uniform", N, 1.0)
+        spec = ps.make_heat_problem(space, cells, grid, data="zero")
+        ht = ps.build_schur_preconditioner(spec, "direct")
+        assert (ht._eig is not None) == (spec.dim <= eig_limit)
+        assert ht.batched is None
+        reference = self.per_mode_reference(ht, spec, "direct", None)
+        r = np.random.default_rng(N).standard_normal((N, spec.dim))
+        got, ref = ht.apply_inverse(r), reference(r)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_direct_kind_keeps_per_mode_solvers(self, spec):
         ht = ps.SchurPreconditioner(spec, solver_kind="direct")
