@@ -2,7 +2,8 @@
 
 Subcommands: solve, table1, table2, history, spectral-check, scaling.
 All tabular output is CSV, written to --out or stdout.  Exit codes:
-0 success, 1 bad input, 2 spectral bound violation, 3 solver divergence.
+0 success, 1 bad input, 2 spectral bound violation, 3 solver divergence,
+4 iteration limit reached without convergence (the history is still written).
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> tuple[str, bool]:
+    """The solve output and whether the solve converged."""
     if args.problem_file:
         spec = load_problem(args.problem_file)
     else:
@@ -138,21 +140,25 @@ def _cmd_solve(args) -> str:
     if args.method == "sequential":
         u = sequential_euler_solve(spec)
         lines = ["step,node"] + [f"{n + 1},{u[n, 0]:.17g}" for n in range(spec.N)]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n", True
     system = TimeGlobalSystem(spec, diagnostic=args.diagnostics)
+    # built first: it raises InputError for mg when the problem carries no
+    # mesh metadata, as problems loaded from files do
+    ht = build_schur_preconditioner(spec, args.solver, vcycles=args.vcycles)
     hier = None
     if args.solver == "mg":
         hier = build_mg_hierarchy(spec.meta["space"], spec.meta["mesh"])
     at = BlockDiagSolver(spec, args.solver, hierarchy=hier, cycles=args.vcycles) \
         if args.solver == "mg" else BlockDiagSolver(spec, args.solver)
-    ht = build_schur_preconditioner(spec, args.solver, vcycles=args.vcycles)
     if args.method == "minres":
         _, hist = minres_solve(system, at, ht, tol=args.tol, max_iter=args.max_iter)
     else:
         cfg = UzawaConfig(omega=args.omega, tol=args.tol, max_iter=args.max_iter,
                           diagnostics=args.diagnostics)
         _, hist = uzawa_solve(system, at, ht, cfg)
-    return hist.to_csv()
+    if not hist.converged:
+        sys.stderr.write(f"not converged after {hist.iterations} iterations\n")
+    return hist.to_csv(), hist.converged
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -184,10 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
+    converged = True
     try:
         parallel.set_num_threads(args.threads)
         if args.command == "solve":
-            text = _cmd_solve(args)
+            text, converged = _cmd_solve(args)
         elif args.command == "table1":
             rows = bench.run_table1(args.h, args.N, T=args.T, seed=args.seed)
             text = bench.rows_to_csv(bench.TABLE1_CSV_HEADER, rows)
@@ -225,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         parallel.set_num_threads(1)
     _emit(text, args.out)
-    return 0
+    return 0 if converged else 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -250,15 +250,19 @@ def lanczos_extremal_eig(
     if iters < 2:
         raise InputError("lanczos needs at least 2 iterations")
     shape = x0.shape
-    q = x0.astype(np.float64).ravel().copy()
+    q = x0.astype(np.float64).ravel()
     # operators may return their input array unchanged (identity weight),
     # so never modify operator outputs in place without copying first
     bq = np.asarray(apply_b(q.reshape(shape)), dtype=np.float64).ravel()
     nrm = np.sqrt(q @ bq)
     if nrm == 0.0:
         raise InputError("zero start vector")
-    qs = [q / nrm]
-    bqs = [bq / nrm]
+    # the B-orthonormal basis and its B-image, one row per Lanczos vector
+    # (np.empty commits memory only for the rows that get written)
+    qs = np.empty((iters + 1, q.size))
+    bqs = np.empty((iters + 1, q.size))
+    qs[0] = q / nrm
+    bqs[0] = bq / nrm
     alphas: list[float] = []
     betas: list[float] = []
     lo_hist: list[float] = []
@@ -266,18 +270,17 @@ def lanczos_extremal_eig(
     breakdown = False
     for j in range(iters):
         w = np.asarray(
-            apply_a(qs[-1].reshape(shape)), dtype=np.float64
+            apply_a(qs[j].reshape(shape)), dtype=np.float64
         ).ravel().copy()
-        alphas.append(float(w @ bqs[-1]))
-        # full reorthogonalization against all B-orthonormal vectors so far;
-        # the first pass subtracts the alpha and beta recurrence terms.  The
-        # B-image of w is recomputed afterwards: updating it incrementally
-        # loses all accuracy once the reorthogonalized w is orders of
-        # magnitude smaller than the original (B may be ill-conditioned).
+        alphas.append(float(w @ bqs[j]))
+        # full reorthogonalization against all B-orthonormal vectors so far,
+        # two classical Gram-Schmidt passes; the first subtracts the alpha
+        # and beta recurrence terms.  The B-image of w is recomputed
+        # afterwards: updating it incrementally loses all accuracy once the
+        # reorthogonalized w is orders of magnitude smaller than the original
+        # (B may be ill-conditioned).
         for _ in range(2):
-            for qi, bqi in zip(qs, bqs):
-                c = w @ bqi
-                w -= c * qi
+            w -= (bqs[: j + 1] @ w) @ qs[: j + 1]
         bw = np.asarray(apply_b(w.reshape(shape)), dtype=np.float64).ravel()
         beta = float(np.sqrt(max(w @ bw, 0.0)))
         if beta <= 1e-13 * max(1.0, abs(alphas[-1])):
@@ -304,6 +307,6 @@ def lanczos_extremal_eig(
         if j == iters - 1:
             break
         betas.append(beta)
-        qs.append(w / beta)
-        bqs.append(bw / beta)
+        qs[j + 1] = w / beta
+        bqs[j + 1] = bw / beta
     return LanczosResult(lo_hist[-1], hi_hist[-1], breakdown, len(alphas))

@@ -106,8 +106,9 @@ class TimeGlobalSystem:
 
     def apply_saddle(self, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply the symmetric indefinite two-by-two block operator."""
-        top = self.apply_Abd(p) - self.apply_K(u)
-        bottom = -self.apply_Kt(p) - (self.apply_K(u) + self.apply_Kt(u) + self.apply_Abd(u))
+        ku = self.apply_K(u)
+        top = self.apply_Abd(p) - ku
+        bottom = -self.apply_Kt(p) - (ku + self.apply_Kt(u) + self.apply_Abd(u))
         return top, bottom
 
     # --- diagnostic-mode operators ---------------------------------------------

@@ -7,7 +7,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import InputError, NotSpdError, SolverDivergenceError
 from .linalg import SpatialMatrix, SpdFactor, add_matrices
@@ -31,6 +30,8 @@ class UzawaConfig:
             raise InputError("damping parameter must be positive")
         if self.tol <= 0.0:
             raise InputError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise InputError("iteration limit must be at least one")
         if self.stopping not in ("preconditioned_residual", "s_norm_error"):
             raise InputError(f"unknown stopping rule {self.stopping!r}")
 
@@ -241,12 +242,11 @@ def uzawa_solve(
     t0 = time.perf_counter()
     first_res = None
     for _ in range(cfg.max_iter):
-        r1 = system.apply_K(u) - system.apply_Abd(p) - f
+        ku = system.apply_K(u)
+        r1 = ku - system.apply_Abd(p) - f
         dp = atilde.apply_inverse(r1)
         p = p + dp
-        z = f - system.apply_Kt(p) - (
-            system.apply_K(u) + system.apply_Kt(u) + system.apply_Abd(u)
-        )
+        z = f - system.apply_Kt(p) - (ku + system.apply_Kt(u) + system.apply_Abd(u))
         y = htilde.apply_inverse(z)
         u = u + cfg.omega * y
 
@@ -288,6 +288,16 @@ def uzawa_solve(
     return (p, u), hist
 
 
+def _preconditioned_norm(r: np.ndarray, z: np.ndarray) -> float:
+    """sqrt(r' z) for z = P^-1 r, checked for a finite, non-negative square."""
+    beta2 = float(np.vdot(r, z))
+    if not np.isfinite(beta2):
+        raise SolverDivergenceError(f"non-finite preconditioned norm {beta2}")
+    if beta2 < 0.0:
+        raise NotSpdError("block preconditioner is not positive definite")
+    return float(np.sqrt(beta2))
+
+
 def minres_solve(
     system: TimeGlobalSystem,
     atilde: BlockDiagSolver,
@@ -295,61 +305,129 @@ def minres_solve(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> tuple[tuple[np.ndarray, np.ndarray], ConvergenceHistory]:
-    """Block-diagonally preconditioned MINRES on the saddle-point system."""
-    spec = system.spec
-    nd = spec.N * spec.dim
+    """Block-diagonally preconditioned MINRES on the saddle-point system.
+
+    Paige & Saunders' recurrence, step for step as in
+    ``scipy.sparse.linalg.minres`` and with its stopping tests, on one
+    (2N, dim) block whose rows [:N] hold p and rows [N:] hold u.  Each
+    iteration makes one saddle product and one preconditioner application.
+    The recorded residual is the recurrence's preconditioned residual norm
+    phibar over beta1 = sqrt(g' P^-1 g), so it costs nothing extra.
+    """
+    if max_iter < 1:
+        raise InputError("iteration limit must be at least one")
+    N = system.spec.N
     f = system.rhs
-    g = np.concatenate([-f.ravel(), -f.ravel()])
+    g = -np.concatenate([f, f])
+    eps = np.finfo(np.float64).eps
 
-    def matvec(w: np.ndarray) -> np.ndarray:
-        p = w[:nd].reshape(spec.N, spec.dim)
-        u = w[nd:].reshape(spec.N, spec.dim)
-        top, bottom = system.apply_saddle(p, u)
-        return np.concatenate([top.ravel(), bottom.ravel()])
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(v)
+        out[:N], out[N:] = system.apply_saddle(v[:N], v[N:])
+        return out
 
-    def precond(w: np.ndarray) -> np.ndarray:
-        p = w[:nd].reshape(spec.N, spec.dim)
-        u = w[nd:].reshape(spec.N, spec.dim)
-        return np.concatenate(
-            [atilde.apply_inverse(p).ravel(), htilde.apply_inverse(u).ravel()]
-        )
+    def precond(r: np.ndarray) -> np.ndarray:
+        out = np.empty_like(r)
+        out[:N] = atilde.apply_inverse(r[:N])
+        out[N:] = htilde.apply_inverse(r[N:])
+        return out
 
     # cheap positivity probe of the preconditioner
     rng = np.random.default_rng(1234)
     for _ in range(3):
-        w = rng.standard_normal(2 * nd)
-        if w @ precond(w) <= 0.0:
+        w = rng.standard_normal(g.shape)
+        if np.vdot(w, precond(w)) <= 0.0:
             raise NotSpdError("block preconditioner is not positive definite")
-
-    op = spla.LinearOperator((2 * nd, 2 * nd), matvec=matvec)
-    mop = spla.LinearOperator((2 * nd, 2 * nd), matvec=precond)
 
     hist = ConvergenceHistory()
     start_counters = timing.snapshot()
     t0 = time.perf_counter()
-    ref = float(np.sqrt(g @ precond(g)))
-    if ref == 0.0:
+    x = np.zeros_like(g)
+    y = precond(g)
+    beta1 = _preconditioned_norm(g, y)
+    if beta1 == 0.0:
         hist.converged = True
-        z = np.zeros((spec.N, spec.dim))
-        return (z, z.copy()), hist
+        return (x[:N], x[N:]), hist
 
-    def callback(xk: np.ndarray) -> None:
-        r = g - matvec(xk)
-        res = float(np.sqrt(max(r @ precond(r), 0.0))) / ref
+    istop = 0
+    oldb = 0.0
+    beta = beta1
+    dbar = epsln = 0.0
+    phibar = beta1
+    tnorm2 = 0.0
+    gmax = 0.0
+    gmin = np.finfo(np.float64).max
+    cs, sn = -1.0, 0.0
+    w = np.zeros_like(g)
+    w2 = np.zeros_like(g)
+    r1 = g
+    r2 = g
+    for itn in range(1, max_iter + 1):
+        v = y
+        v *= 1.0 / beta
+        y = matvec(v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        oldb = beta
+        beta = _preconditioned_norm(r2, y)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # the preconditioned operator is a multiple of I
+
+        # apply the previous rotation, then compute the next one (norm, not
+        # hypot, so that the iterates match scipy's bit for bit)
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm((gbar, dbar))
+        gamma = max(np.linalg.norm((gbar, beta)), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x += phi * w
+
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        anorm = np.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = np.inf if ynorm == 0.0 or anorm == 0.0 else phibar / (anorm * ynorm)
+        test2 = np.inf if anorm == 0.0 else root / anorm
+        # istop as in scipy: 1 or 2 tolerance met, 3 eps accuracy, 4 condition
+        # estimate above 0.1/eps, 6 iteration limit
+        if istop == 0:
+            if test2 + 1.0 <= 1.0:
+                istop = 2
+            if test1 + 1.0 <= 1.0:
+                istop = 1
+            if itn >= max_iter:
+                istop = 6
+            if gmax / gmin >= 0.1 / eps:
+                istop = 4
+            if anorm * ynorm * eps >= beta1:
+                istop = 3
+            if test2 <= tol:
+                istop = 2
+            if test1 <= tol:
+                istop = 1
+
         counters = timing.snapshot()
         hist.append(
-            res, None, None,
+            float(phibar / beta1), None, None,
             time.perf_counter() - t0,
             counters["fft"] - start_counters["fft"],
             counters["spatial"] - start_counters["spatial"],
         )
-        if not np.isfinite(res):
-            raise SolverDivergenceError(
-                f"non-finite residual at iteration {hist.iterations}"
-            )
-
-    w, info = spla.minres(op, g, M=mop, rtol=tol, maxiter=max_iter, callback=callback)
-    hist.converged = info == 0
-    p = w[:nd].reshape(spec.N, spec.dim)
-    u = w[nd:].reshape(spec.N, spec.dim)
-    return (p, u), hist
+        if istop != 0:
+            break
+    hist.converged = istop != 6
+    return (x[:N], x[N:]), hist

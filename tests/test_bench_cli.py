@@ -96,6 +96,28 @@ class TestCli:
         assert main(["solve", "--problem-file", str(path), "--tol", "1e-9"]) == 0
         assert "iter,residual" in capsys.readouterr().out
 
+    def test_problem_file_with_multigrid_exit_one(self, tmp_path, capsys):
+        # problem files carry no mesh, which the multigrid hierarchy needs
+        import pintsolve as ps
+
+        grid = ps.build_time_grid("uniform", 6, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="random", seed=5)
+        path = tmp_path / "prob.txt"
+        ps.save_problem(spec, str(path))
+        rc = main(["solve", "--problem-file", str(path), "--solver", "mg"])
+        assert rc == 1
+        assert "mg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["uzawa", "minres"])
+    def test_not_converged_exit_four(self, tmp_path, capsys, method):
+        out = tmp_path / "history.csv"
+        rc = main(["solve", "--method", method, "--space", "1d", "--h", "8",
+                   "--N", "8", "--max-iter", "2", "--out", str(out)])
+        assert rc == 4
+        # the history is still written
+        assert len(out.read_text().strip().split("\n")) == 3
+        assert "not converged" in capsys.readouterr().err
+
     def test_spectral_check_exit_zero(self, capsys):
         rc = main(["spectral-check", "--space", "1d", "--h", "8", "--N", "16",
                    "--solver", "direct"])

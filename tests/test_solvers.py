@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import pintsolve as ps
-from pintsolve.errors import InputError, SolverDivergenceError
+from pintsolve.errors import InputError, NotSpdError, SolverDivergenceError
 
 import conftest as oracle
 
@@ -149,6 +150,8 @@ class TestUzawa:
             ps.UzawaConfig(tol=-1.0)
         with pytest.raises(InputError):
             ps.UzawaConfig(stopping="energy")
+        with pytest.raises(InputError):
+            ps.UzawaConfig(max_iter=0)
 
 
 class TestMinres:
@@ -169,6 +172,84 @@ class TestMinres:
         _, hist = ps.minres_solve(system, at, ht, tol=1e-10)
         assert hist.iterations > 0
         assert hist.residual[-1] < 1e-8
+
+    @staticmethod
+    def saddle_setup(spec):
+        """Saddle operator, block preconditioner and right-hand side on
+        (2N, dim) blocks, rows [:N] for p and [N:] for u."""
+        system, at, ht = setup(spec)
+        N = spec.N
+
+        def matvec(x):
+            return np.concatenate(system.apply_saddle(x[:N], x[N:]))
+
+        def precond(r):
+            return np.concatenate([at.apply_inverse(r[:N]), ht.apply_inverse(r[N:])])
+
+        g = -np.concatenate([system.rhs, system.rhs])
+        return (system, at, ht), matvec, precond, g
+
+    def test_matches_scipy_minres(self):
+        # scipy's MINRES serves as the oracle: same recurrence, same tests
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            spec = oracle.random_spec(rng)
+            solvers, matvec, precond, g = self.saddle_setup(spec)
+            shape, n = g.shape, g.size
+
+            def op(fn):
+                return spla.LinearOperator(
+                    (n, n), matvec=lambda x: fn(x.reshape(shape)).ravel())
+
+            iterates = []
+            ref, info = spla.minres(op(matvec), g.ravel(), M=op(precond),
+                                    rtol=1e-10, maxiter=500,
+                                    callback=iterates.append)
+            (p, u), hist = ps.minres_solve(*solvers, tol=1e-10)
+            assert info == 0 and hist.converged
+            assert hist.iterations == len(iterates)
+            got = np.concatenate([p, u]).ravel()
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_logged_residual_is_preconditioned_residual(self):
+        # the k-th iterate is what a run capped at k iterations returns
+        rng = np.random.default_rng(12)
+        spec = oracle.random_spec(rng)
+        solvers, matvec, precond, g = self.saddle_setup(spec)
+        _, hist = ps.minres_solve(*solvers, tol=1e-10)
+        beta1 = np.sqrt(np.sum(g * precond(g)))
+        for k in range(1, hist.iterations + 1):
+            (p, u), capped = ps.minres_solve(*solvers, tol=1e-10, max_iter=k)
+            r = g - matvec(np.concatenate([p, u]))
+            explicit = np.sqrt(np.sum(r * precond(r))) / beta1
+            assert capped.residual == hist.residual[:k]
+            assert abs(hist.residual[k - 1] - explicit) <= 1e-5 * explicit
+
+    def test_iteration_limit_is_not_converged(self):
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        _, hist = ps.minres_solve(*setup(spec), tol=1e-10, max_iter=2)
+        assert not hist.converged
+        assert hist.iterations == 2
+        assert len(hist.to_csv().strip().split("\n")) == 3
+
+    def test_iteration_limit_must_be_positive(self):
+        grid = ps.build_time_grid("uniform", 4, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        with pytest.raises(InputError):
+            ps.minres_solve(*setup(spec), max_iter=0)
+
+    def test_sign_flipped_schur_preconditioner_raises(self):
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        system, at, ht = setup(spec)
+
+        class Flipped:
+            def apply_inverse(self, r):
+                return -ht.apply_inverse(r)
+
+        with pytest.raises(NotSpdError):
+            ps.minres_solve(system, at, Flipped(), tol=1e-10)
 
 
 class TestHistoryCsv:
