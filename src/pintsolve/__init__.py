@@ -35,6 +35,7 @@ from .problems import (
     assemble_mass_stiffness_2d,
     build_time_grid,
     compute_alpha,
+    group_steps,
     load_problem,
     make_heat_problem,
     save_problem,
@@ -46,7 +47,13 @@ from .dst import (
     dst_inverse,
     dst_inverse_transpose,
 )
-from .operators import TimeGlobalSystem, d_norm, dense_operator, fold_rhs
+from .operators import (
+    BlockDiagSolver,
+    TimeGlobalSystem,
+    d_norm,
+    dense_operator,
+    fold_rhs,
+)
 from .spatial import (
     DirectSolver,
     JacobiSolver,
@@ -61,7 +68,6 @@ from .spatial import (
 )
 from .schur import SchurPreconditioner, build_schur_preconditioner, frequency_weights
 from .solvers import (
-    BlockDiagSolver,
     ConvergenceHistory,
     RateReport,
     UzawaConfig,

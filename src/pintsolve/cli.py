@@ -3,7 +3,8 @@
 Subcommands: solve, table1, table2, history, spectral-check, scaling.
 All tabular output is CSV, written to --out or stdout.  Exit codes:
 0 success, 1 bad input, 2 spectral bound violation, 3 solver divergence,
-4 iteration limit reached without convergence (the history is still written).
+4 iteration limit reached without convergence (solve still writes the
+history, table2 the table).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import sys
 
 from . import bench, parallel
 from .errors import BoundViolationError, InputError, SolverDivergenceError
-from .operators import TimeGlobalSystem
+from .operators import BlockDiagSolver, TimeGlobalSystem
 from .problems import build_time_grid, load_problem, make_heat_problem
 from .schur import build_schur_preconditioner
 from .solvers import (
-    BlockDiagSolver,
     UzawaConfig,
     minres_solve,
     sequential_euler_solve,
@@ -202,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
             rows = bench.run_table2(args.h, args.N, T=args.T, omega=args.omega,
                                     tol=args.tol, vcycles=args.vcycles)
             text = bench.rows_to_csv(bench.TABLE2_CSV_HEADER, rows)
+            for row in rows:
+                if not row["converged"]:
+                    converged = False
+                    sys.stderr.write(f"not converged: h={row['h']} N={row['N']} "
+                                     f"after {row['iterations']} iterations\n")
         elif args.command == "history":
             rows = bench.run_history(N=args.N, cells=args.h, space=args.space,
                                      T=args.T, omega=args.omega, tol=args.tol,

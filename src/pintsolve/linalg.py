@@ -59,7 +59,7 @@ class SpatialMatrix:
     def _init(self, csr: sp.csr_matrix) -> None:
         self.dim = int(csr.shape[0])
         self._csr = csr
-        # proportionality provenance, used by compute_alpha fast path
+        # scaling provenance (as_scaled), read by problems.group_steps
         self._base: SpatialMatrix | None = None
         self._scale = 1.0
 

@@ -2,21 +2,20 @@
 
 All operators act on block vectors of shape (N, dim).  The coupling operator
 pairs the backward-difference stencil in time with the mass operator; the
-block-diagonal part applies tau_n * A_n per step.  Exact per-step inverses
-(needed by the left-preconditioned operator, the optimal-test-function map,
-and the dual norms) are a diagnostic feature built on demand.
+block-diagonal part applies tau_n * A_n, one product per step group.  Its
+exact inverse (needed by the left-preconditioned operator, the
+optimal-test-function map, and the dual norms) is a diagnostic feature built
+on demand: the direct ``BlockDiagSolver``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DiagnosticModeRequiredError, DimensionMismatchError
-from .linalg import SpatialMatrix, SpdFactor
 from .problems import ProblemSpec
-from . import timing
+from .spatial import MgHierarchy, SpatialSolver, make_solver
+from . import parallel
 
 
 def fold_rhs(spec: ProblemSpec) -> np.ndarray:
@@ -26,43 +25,61 @@ def fold_rhs(spec: ProblemSpec) -> np.ndarray:
     return rhs
 
 
+class BlockDiagSolver:
+    """Preconditioner for the per-step block: tau_n times a spatial solver.
+
+    One solver per group of ``spec.step_groups``, applied once per block to
+    the columns of its steps; the scales fold into the per-step divisor.
+    """
+
+    def __init__(self, spec: ProblemSpec, kind: str = "direct",
+                 hierarchy: MgHierarchy | None = None, **opts):
+        self.kind = kind
+        # (solver of the base, steps using it, tau_n * scale_n for those steps)
+        self._groups: list[tuple[SpatialSolver, np.ndarray, np.ndarray]] = [
+            (make_solver(base, kind, hierarchy=hierarchy, **opts),
+             np.arange(spec.N)[steps], spec.grid.steps[steps] * scales)
+            for base, steps, scales in spec.step_groups
+        ]
+
+    def apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        out = np.empty_like(b)
+        tasks = [
+            (solver, rows[cols], divisor[cols])
+            for solver, rows, divisor in self._groups
+            for cols in parallel.chunks(len(rows))
+        ]
+
+        def task(i: int) -> None:
+            solver, rows, divisor = tasks[i]
+            out[rows] = (solver.apply(b[rows].T) / divisor).T
+
+        parallel.block_map(task, len(tasks))
+        return out
+
+
 class TimeGlobalSystem:
     """Bundles a problem with its time-global operator applications."""
 
     def __init__(self, spec: ProblemSpec, diagnostic: bool = False):
         self.spec = spec
         self.rhs = fold_rhs(spec)
-        self._scales = self._proportional_scales()
-        self._block_factors: list[SpdFactor] | None = None
-        self._base_factor: SpdFactor | None = None
+        # (base operator, steps, tau_n * scale_n as a column)
+        self._abd = [
+            (base, steps, (spec.grid.steps[steps] * scales)[:, None])
+            for base, steps, scales in spec.step_groups
+        ]
+        self._exact: BlockDiagSolver | None = None
         if diagnostic:
             self.build_exact_solvers()
 
-    def _proportional_scales(self) -> np.ndarray | None:
-        base = self.spec.stiffness[0]
-        scales = np.empty(self.spec.N)
-        for n, a_n in enumerate(self.spec.stiffness):
-            s = a_n.proportionality(base)
-            if s is None:
-                return None
-            scales[n] = s
-        return scales * self.spec.grid.steps
-
     @property
     def diagnostic(self) -> bool:
-        return self._block_factors is not None or self._base_factor is not None
+        return self._exact is not None
 
     def build_exact_solvers(self) -> None:
-        if self.diagnostic:
-            return
-        with timing.timed("spatial"):
-            if self._scales is not None:
-                self._base_factor = SpdFactor(self.spec.stiffness[0])
-            else:
-                self._block_factors = [
-                    SpdFactor(a.scaled(t)) if t != 1.0 else SpdFactor(a)
-                    for a, t in zip(self.spec.stiffness, self.spec.grid.steps)
-                ]
+        if self._exact is None:
+            self._exact = BlockDiagSolver(self.spec, "direct")
 
     def _check(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -91,12 +108,14 @@ class TimeGlobalSystem:
 
     def apply_Abd(self, u: np.ndarray) -> np.ndarray:
         u = self._check(u)
-        if self._scales is not None:
-            return self._scales[:, None] * self.spec.stiffness[0].dot(u.T).T
-        steps = self.spec.grid.steps
-        return np.stack(
-            [t * a.dot(un) for t, a, un in zip(steps, self.spec.stiffness, u)]
-        )
+        out = None if len(self._abd) == 1 else np.empty_like(u)
+        for base, steps, factor in self._abd:
+            y = base.dot(u[steps].T).T
+            y *= factor
+            if out is None:  # one group holds every step
+                return y
+            out[steps] = y
+        return out
 
     def apply_B(self, u: np.ndarray) -> np.ndarray:
         return self.apply_K(u) + self.apply_Abd(u)
@@ -115,14 +134,11 @@ class TimeGlobalSystem:
 
     def apply_Abd_inv(self, b: np.ndarray) -> np.ndarray:
         b = self._check(b)
-        if not self.diagnostic:
+        if self._exact is None:
             raise DiagnosticModeRequiredError(
                 "exact per-step factorizations not built; pass diagnostic=True"
             )
-        with timing.timed("spatial"):
-            if self._base_factor is not None:
-                return self._base_factor.solve(b.T).T / self._scales[:, None]
-            return np.stack([f.solve(bn) for f, bn in zip(self._block_factors, b)])
+        return self._exact.apply_inverse(b)
 
     def apply_P(self, u: np.ndarray) -> np.ndarray:
         """Optimal-test-function map: per-step exact solve of the coupling."""
@@ -156,23 +172,12 @@ class TimeGlobalSystem:
         return float(u[-1] @ m.dot(v[-1]) + np.sum(du * m.dot(dv.T).T))
 
     def _dual_term(self, u: np.ndarray, v: np.ndarray) -> float:
-        """sum_n tau_n (d_t u, d_t v) in the per-step dual inner product."""
-        steps = self.spec.grid.steps
-        mdu = self.spec.mass.dot(np.diff(u, axis=0, prepend=0.0).T).T / steps[:, None]
-        mdv = self.spec.mass.dot(np.diff(v, axis=0, prepend=0.0).T).T / steps[:, None]
-        if not self.diagnostic:
-            raise DiagnosticModeRequiredError("dual norms need exact factorizations")
-        with timing.timed("spatial"):
-            if self._base_factor is not None:
-                sol = self._base_factor.solve(mdv.T).T / (self._scales / steps)[:, None]
-            else:
-                sol = np.stack(
-                    [
-                        f.solve(x) * t
-                        for f, x, t in zip(self._block_factors, mdv, steps)
-                    ]
-                )
-        return float(np.sum(steps[:, None] * mdu * sol))
+        """sum_n tau_n (d_t u, d_t v) in the per-step dual inner product,
+        that is sum_n (M du_n)' (tau_n A_n)^-1 (M dv_n)."""
+        m = self.spec.mass
+        mdu = m.dot(np.diff(u, axis=0, prepend=0.0).T).T
+        mdv = m.dot(np.diff(v, axis=0, prepend=0.0).T).T
+        return float(np.sum(mdu * self.apply_Abd_inv(mdv)))
 
     def s_bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
         """Symmetrized form: dual-derivative term + energy term + jump form."""

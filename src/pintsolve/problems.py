@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, NotSpdError
 from .linalg import (
     SpatialMatrix,
     dense_generalized_eig_extremal,
@@ -151,6 +151,31 @@ def interior_nodes_2d(cells_per_side: int) -> tuple[np.ndarray, np.ndarray]:
     return xx.ravel(), yy.ravel()
 
 
+StepGroup = tuple[SpatialMatrix, "slice | np.ndarray", np.ndarray]
+
+
+def group_steps(stiffness: Sequence[SpatialMatrix]) -> list[StepGroup]:
+    """Groups (base, steps, scales) with stiffness[n] == scales[i] * base for
+    the i-th step n of steps; steps is slice(None) when one group holds
+    every step, else an index array.
+
+    Raises NotSpdError for a scale that is not positive (NaN included).
+    """
+    groups: dict[SpatialMatrix, tuple[list[int], list[float]]] = {}
+    for n, a_n in enumerate(stiffness):
+        base, scale = a_n.as_scaled()
+        if not scale > 0.0:
+            raise NotSpdError(f"stiffness operator of step {n + 1} is not SPD")
+        steps, scales = groups.setdefault(base, ([], []))
+        steps.append(n)
+        scales.append(scale)
+    return [
+        (base, slice(None) if len(groups) == 1 else np.array(steps),
+         np.array(scales))
+        for base, (steps, scales) in groups.items()
+    ]
+
+
 @dataclass
 class ProblemSpec:
     """Fully assembled discrete parabolic problem."""
@@ -164,6 +189,7 @@ class ProblemSpec:
     a_ref: SpatialMatrix
     alpha: float
     meta: dict = field(default_factory=dict)
+    step_groups: list[StepGroup] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = self.mass.dim
@@ -173,6 +199,7 @@ class ProblemSpec:
             raise DimensionMismatchError("need one stiffness operator per step")
         if self.load.shape != (self.grid.N, dim) or self.u_init.shape != (dim,):
             raise DimensionMismatchError("data dimension mismatch")
+        self.step_groups = group_steps(self.stiffness)
 
     @property
     def dim(self) -> int:
@@ -193,27 +220,23 @@ def compute_alpha(
 ) -> float:
     """Smallest alpha with (1/alpha) tau*A <= tau_n*A_n <= alpha * tau*A.
 
-    Proportional operators (the common time-dependent-coefficient case) are
-    handled exactly; otherwise the extremal generalized eigenvalues of each
-    pencil are computed densely.
+    When a_ref is a multiple of a group's base operator (see group_steps),
+    that group's pencil extremes are scale ratios; any other group needs one
+    dense generalized eigensolve against a_ref.
     """
     alpha = 1.0
-    steps = grid.steps
-    cache: dict[int, tuple[float, float]] = {}
-    for n, a_n in enumerate(stiffness):
-        s = a_n.proportionality(a_ref)
-        if s is not None:
-            lo = hi = s * steps[n] / tau_ref
+    for base, steps, scales in group_steps(stiffness):
+        ref_scale = a_ref.proportionality(base)
+        if ref_scale is not None:
+            lo = hi = scales / ref_scale
         else:
-            key = id(a_n)
-            if key not in cache:
-                cache[key] = dense_generalized_eig_extremal(
-                    a_n.todense(), a_ref.todense(), dense_limit
-                )
-            lo, hi = cache[key]
-            lo *= steps[n] / tau_ref
-            hi *= steps[n] / tau_ref
-        alpha = max(alpha, hi, 1.0 / lo)
+            lo, hi = dense_generalized_eig_extremal(
+                base.todense(), a_ref.todense(), dense_limit
+            )
+            lo, hi = lo * scales, hi * scales
+        taus = grid.steps[steps]
+        lo, hi = lo * taus / tau_ref, hi * taus / tau_ref
+        alpha = max(alpha, np.max(hi), np.max(1.0 / lo))
     return float(alpha)
 
 
@@ -304,10 +327,11 @@ def make_heat_problem(
 #   grid <N> <T>            followed by N+1 node lines
 #   scalars <tau_ref> <alpha>
 #   matrix <name> <dim> <nnz>  followed by nnz upper-triangle "i j value" lines
-#   stepscales <N>          per-step multiple of the base stiffness (one/line)
+#   stepscales <N>          per-step multiple of A_ref (one/line)
 #   vector <name> <len>     followed by len value lines
-# Matrices written: M, A_ref, and A_base when all A_n are multiples of it
-# (otherwise each A_n is written as "matrix A_<n> ...").
+# Matrices written: M and A_ref, then "stepscales" when every A_n is a
+# multiple of A_ref, else each A_n as "matrix A_<n> ...".
+# Every number must be finite.
 
 
 def _write_matrix(fh, name: str, m: SpatialMatrix) -> None:
@@ -323,8 +347,9 @@ def _write_vector(fh, name: str, v: np.ndarray) -> None:
 
 
 def save_problem(spec: ProblemSpec, path: str) -> None:
-    scales = [a.proportionality(spec.a_ref) for a in spec.stiffness]
-    proportional = all(s is not None for s in scales)
+    (base, _, scales), *others = spec.step_groups
+    ref_scale = spec.a_ref.proportionality(base)
+    proportional = not others and ref_scale is not None
     with open(path, "w") as fh:
         fh.write("pintsolve-problem 1\n")
         fh.write(f"grid {spec.N} {float(spec.grid.T)!r}\n")
@@ -335,7 +360,7 @@ def save_problem(spec: ProblemSpec, path: str) -> None:
         _write_matrix(fh, "A_ref", spec.a_ref)
         if proportional:
             fh.write(f"stepscales {spec.N}\n")
-            for s in scales:
+            for s in scales / ref_scale:
                 fh.write(f"{float(s)!r}\n")
         else:
             for n, a_n in enumerate(spec.stiffness):
@@ -368,8 +393,15 @@ class _LineReader:
             raise self.error(f"expected section {keyword!r}")
         return tok
 
+    def value(self, text: str) -> float:
+        """A float from the current line, which must be finite."""
+        x = float(text)
+        if not math.isfinite(x):
+            raise self.error(f"non-finite number {text!r}")
+        return x
+
     def floats(self, count: int) -> np.ndarray:
-        return np.array([float(self.next()) for _ in range(count)])
+        return np.array([self.value(self.next()) for _ in range(count)])
 
     def error(self, message: str, number: int | None = None) -> InputError:
         return InputError(f"line {self.number if number is None else number}: {message}")
@@ -380,7 +412,7 @@ def load_problem(path: str) -> ProblemSpec:
         lines = _LineReader(fh.read().splitlines())
     try:
         return _parse_problem(lines)
-    except InputError:
+    except (InputError, NotSpdError):
         raise
     except (ValueError, IndexError) as exc:  # bad number or token count
         raise lines.error(f"malformed line ({exc})") from exc
@@ -392,7 +424,7 @@ def _parse_problem(lines: _LineReader) -> ProblemSpec:
     N = int(lines.section("grid")[1])
     nodes = lines.floats(N + 1)
     tok = lines.section("scalars")
-    tau_ref, alpha = float(tok[1]), float(tok[2])
+    tau_ref, alpha = lines.value(tok[1]), lines.value(tok[2])
     matrices: dict[str, SpatialMatrix] = {}
     vectors: dict[str, np.ndarray] = {}
     scales: np.ndarray | None = None
@@ -405,7 +437,7 @@ def _parse_problem(lines: _LineReader) -> ProblemSpec:
                 i, j, v = lines.next().split()
                 rows.append(int(i))
                 cols.append(int(j))
-                vals.append(float(v))
+                vals.append(lines.value(v))
             matrices[name] = SpatialMatrix(dim, rows, cols, vals)
         elif tok[0] == "stepscales":
             scales = lines.floats(int(tok[1]))

@@ -101,3 +101,28 @@ def random_spec(rng, space="1d", max_cells=16, max_n=12, data="random"):
         coeff = lambda t: c0 + c1 * t  # noqa: E731
     return ps.make_heat_problem(space, cells, grid, coeff=coeff, data=data,
                                 seed=int(rng.integers(1 << 30)))
+
+
+def per_step_spec(seed=0):
+    """A small problem whose step operators are not all multiples of one
+    matrix: A_n = A + c_n M, with some steps sharing an operator object, one
+    step a scaled copy of another, and a_ref one of the step operators."""
+    rng = np.random.default_rng(seed)
+    mass, stiff = ps.assemble_mass_stiffness_1d(8)
+    grid = ps.build_time_grid("perturbed", 6, 1.0, perturbation=0.3, seed=seed)
+    shifted = {c: ps.add_matrices(1.0, stiff, c, mass) for c in (0.5, 1.0, 4.0)}
+    stiffness = [shifted[c] for c in (0.5, 1.0, 4.0, 1.0, 0.5)]
+    stiffness.append(shifted[4.0].scaled(1.5))
+    tau_ref = float(np.exp(np.mean(np.log(grid.steps))))
+    a_ref = stiffness[1]
+    return ps.ProblemSpec(
+        mass=mass,
+        stiffness=stiffness,
+        grid=grid,
+        load=rng.standard_normal((grid.N, mass.dim)),
+        u_init=rng.standard_normal(mass.dim),
+        tau_ref=tau_ref,
+        a_ref=a_ref,
+        alpha=ps.compute_alpha(mass, stiffness, grid, tau_ref, a_ref),
+        meta={"space": "1d", "mesh": 8},
+    )

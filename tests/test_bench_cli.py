@@ -22,6 +22,13 @@ class TestBenchDrivers:
         assert len(rows) == 2
         for r in rows:
             assert 5 < r["iterations"] < 40
+            assert r["converged"]
+
+    def test_table2_flags_iteration_limit(self):
+        # a tiny damping stalls the iteration at max_iter (200)
+        rows = bench.run_table2([8], [16], omega=0.01)
+        assert rows[0]["iterations"] == 200
+        assert not rows[0]["converged"]
 
     def test_history_has_three_solver_variants(self):
         rows = bench.run_history(N=16, cells=8, space="1d", max_iter=10, tol=1e-9)
@@ -117,6 +124,61 @@ class TestCli:
         # the history is still written
         assert len(out.read_text().strip().split("\n")) == 3
         assert "not converged" in capsys.readouterr().err
+
+    def test_table2_not_converged_exit_four(self, tmp_path, capsys):
+        out = tmp_path / "table2.csv"
+        rc = main(["table2", "--h", "8", "--N", "16", "--omega", "0.01",
+                   "--out", str(out)])
+        assert rc == 4
+        # the table is still written, with the columns of the header only
+        assert out.read_text() == "h,N,iterations\n1/8,16,200\n"
+        assert "not converged" in capsys.readouterr().err
+
+    @staticmethod
+    def varcoef_problem_lines(tmp_path) -> list[str]:
+        import pintsolve as ps
+
+        grid = ps.build_time_grid("uniform", 6, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, coeff=lambda t: 1.0 + t,
+                                    data="random", seed=5)
+        path = tmp_path / "prob.txt"
+        ps.save_problem(spec, str(path))
+        return path.read_text().splitlines()
+
+    @staticmethod
+    def replace_first_value(lines: list[str], section: str, value: str) -> int:
+        """Put value into the first value slot of a section; its line number."""
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith(section + " "))
+        if section == "scalars":
+            tok = lines[index].split()
+            lines[index] = " ".join([tok[0], value, tok[2]])
+        else:
+            index += 1
+            lines[index] = value
+        return index + 1
+
+    @pytest.mark.parametrize("method", ["sequential", "uzawa", "minres"])
+    @pytest.mark.parametrize("section", ["vector u_init", "stepscales", "scalars"])
+    def test_non_finite_problem_file_exit_one(self, tmp_path, capsys, method,
+                                              section):
+        lines = self.varcoef_problem_lines(tmp_path)
+        number = self.replace_first_value(lines, section, "nan")
+        path = tmp_path / "nan.txt"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--problem-file", str(path), "--method", method])
+        assert rc == 1
+        assert f"line {number}: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["sequential", "uzawa", "minres"])
+    def test_zero_step_scale_exit_one(self, tmp_path, capsys, method):
+        lines = self.varcoef_problem_lines(tmp_path)
+        self.replace_first_value(lines, "stepscales", "0.0")
+        path = tmp_path / "zero.txt"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--problem-file", str(path), "--method", method])
+        assert rc == 1
+        assert "step 1" in capsys.readouterr().err
 
     def test_spectral_check_exit_zero(self, capsys):
         rc = main(["spectral-check", "--space", "1d", "--h", "8", "--N", "16",

@@ -10,10 +10,10 @@ import conftest as oracle
 
 def specs():
     rng = np.random.default_rng(42)
-    return [oracle.random_spec(rng) for _ in range(6)]
+    return [oracle.random_spec(rng) for _ in range(6)] + [oracle.per_step_spec()]
 
 
-@pytest.fixture(scope="module", params=range(6))
+@pytest.fixture(scope="module", params=range(7))
 def spec(request):
     return specs()[request.param]
 

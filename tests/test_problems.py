@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import pintsolve as ps
-from pintsolve.errors import InputError
+from pintsolve.errors import InputError, NotSpdError
+
+import conftest as oracle
 
 
 class TestTimeGrid:
@@ -125,17 +127,18 @@ class TestAlpha:
 
     def test_matches_dense_oracle(self):
         grid = ps.build_time_grid("perturbed", 6, 1.0, perturbation=0.3, seed=3)
-        spec = ps.make_heat_problem("1d", 8, grid, coeff=lambda t: 1.0 + t)
+        proportional = ps.make_heat_problem("1d", 8, grid, coeff=lambda t: 1.0 + t)
         # oracle: alpha = max over n of max(lam_max, 1/lam_min) of the pencil
         # (tau_n A_n, tau_ref A_ref)
         import scipy.linalg
 
-        worst = 1.0
-        ref = spec.tau_ref * spec.a_ref.todense()
-        for tau, a_n in zip(spec.grid.steps, spec.stiffness):
-            w = scipy.linalg.eigh(tau * a_n.todense(), ref, eigvals_only=True)
-            worst = max(worst, w[-1], 1.0 / w[0])
-        assert spec.alpha == pytest.approx(worst, rel=1e-10)
+        for spec in (proportional, oracle.per_step_spec()):
+            worst = 1.0
+            ref = spec.tau_ref * spec.a_ref.todense()
+            for tau, a_n in zip(spec.grid.steps, spec.stiffness):
+                w = scipy.linalg.eigh(tau * a_n.todense(), ref, eigvals_only=True)
+                worst = max(worst, w[-1], 1.0 / w[0])
+            assert spec.alpha == pytest.approx(worst, rel=1e-10)
 
     def test_quasi_uniformity_bound_holds(self):
         grid = ps.build_time_grid("perturbed", 5, 1.0, perturbation=0.4, seed=9)
@@ -148,6 +151,33 @@ class TestAlpha:
                 v = rng.standard_normal(spec.dim)
                 q = (tau * (v @ a_n.dot(v))) / (v @ ref @ v)
                 assert 1.0 / alpha - 1e-12 <= q <= alpha + 1e-12
+
+
+class TestGroupSteps:
+    def test_one_group_covers_every_step_with_a_slice(self):
+        grid = ps.build_time_grid("uniform", 5, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, coeff=lambda t: 1.0 + t)
+        (base, steps, scales), = spec.step_groups
+        assert steps == slice(None)
+        for a_n, s in zip(spec.stiffness, scales):
+            assert np.array_equal(a_n.todense(), s * base.todense())
+
+    def test_groups_reassemble_every_step(self):
+        spec = oracle.per_step_spec()
+        seen = []
+        for base, steps, scales in spec.step_groups:
+            assert isinstance(steps, np.ndarray)
+            for n, s in zip(steps, scales):
+                assert np.array_equal(spec.stiffness[n].todense(),
+                                      s * base.todense())
+            seen += list(steps)
+        assert sorted(seen) == list(range(spec.N))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_rejects_non_positive_scale(self, bad):
+        _, stiff = ps.assemble_mass_stiffness_1d(4)
+        with pytest.raises(NotSpdError, match="step 2"):
+            ps.group_steps([stiff, stiff.scaled(bad)])
 
 
 class TestMakeHeatProblem:
@@ -218,6 +248,21 @@ class TestSerialization:
             ps.sequential_euler_solve(spec), ps.sequential_euler_solve(back)
         )
 
+    def test_round_trip_per_step_operators(self, tmp_path):
+        spec = oracle.per_step_spec()
+        path = tmp_path / "per_step.txt"
+        ps.save_problem(spec, str(path))
+        text = path.read_text()
+        assert "stepscales" not in text
+        assert f"matrix A_{spec.N} " in text
+        back = ps.load_problem(str(path))
+        for a, b in zip(back.stiffness, spec.stiffness):
+            assert np.array_equal(a.todense(), b.todense())
+        assert back.alpha == spec.alpha
+        assert np.array_equal(
+            ps.sequential_euler_solve(spec), ps.sequential_euler_solve(back)
+        )
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-a-problem\n")
@@ -248,4 +293,21 @@ class TestSerialization:
         path = tmp_path / "renamed.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=f"line {index + 1}.*{keyword}"):
+            ps.load_problem(str(path))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section", ["grid", "scalars", "matrix", "stepscales", "vector"]
+    )
+    def test_rejects_non_finite_number(self, tmp_path, section, bad):
+        lines = self.saved_lines(tmp_path)
+        index = next(i for i, line in enumerate(lines) if line.split()[0] == section)
+        if section != "scalars":
+            index += 1  # the first value line of the section
+        tok = lines[index].split()
+        tok[1 if section == "scalars" else -1] = bad
+        lines[index] = " ".join(tok)
+        path = tmp_path / "non_finite.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"line {index + 1}: non-finite"):
             ps.load_problem(str(path))

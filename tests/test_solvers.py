@@ -289,6 +289,21 @@ class TestBlockDiagSolver:
         got = at.apply_inverse(b)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("kind", ["direct", "mg"])
+    def test_per_step_operators_match_per_step_solvers(self, kind):
+        # step operators from several base matrices, in interleaved groups
+        spec = oracle.per_step_spec()
+        assert len(spec.step_groups) == 3
+        hier = ps.build_mg_hierarchy("1d", 8)
+        at = ps.BlockDiagSolver(spec, kind, hierarchy=hier)
+        b = np.random.default_rng(3).standard_normal((spec.N, spec.dim))
+        ref = np.stack([
+            ps.make_solver(a_n, kind, hierarchy=hier).apply(b_n) / tau
+            for a_n, b_n, tau in zip(spec.stiffness, b, spec.grid.steps)
+        ])
+        got = at.apply_inverse(b)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestNonFiniteData:
     @staticmethod
