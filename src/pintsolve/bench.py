@@ -151,7 +151,10 @@ def run_history(
     max_iter: int = 200,
 ) -> list[dict]:
     """Error decay of the two-stage iteration for exact spatial solves and
-    for one and two multigrid V-cycles, on one problem instance."""
+    for one and two multigrid V-cycles, on one problem instance.
+
+    Each row also carries ``converged``, False for every row of a variant
+    that stopped at max_iter; the CSV schema leaves it out."""
     grid = build_time_grid("uniform", N, T)
     spec = make_heat_problem(space, cells, grid, data="sine")
     system = TimeGlobalSystem(spec, diagnostic=True)
@@ -180,6 +183,7 @@ def run_history(
                     "solver": label,
                     "s_norm_error": hist.s_norm_error[i],
                     "residual": hist.residual[i],
+                    "converged": hist.converged,
                 }
             )
     return rows

@@ -3,8 +3,8 @@
 Subcommands: solve, table1, table2, history, spectral-check, scaling.
 All tabular output is CSV, written to --out or stdout.  Exit codes:
 0 success, 1 bad input, 2 spectral bound violation, 3 solver divergence,
-4 iteration limit reached without convergence (solve still writes the
-history, table2 the table).
+4 iteration limit reached without convergence (solve and history still
+write the history, table2 the table).
 """
 
 from __future__ import annotations
@@ -212,6 +212,12 @@ def main(argv: list[str] | None = None) -> int:
                                      T=args.T, omega=args.omega, tol=args.tol,
                                      max_iter=args.max_iter)
             text = bench.rows_to_csv(bench.HISTORY_CSV_HEADER, rows)
+            stalled = {row["solver"]: row["iter"] for row in rows
+                       if not row["converged"]}
+            for solver, iterations in stalled.items():
+                converged = False
+                sys.stderr.write(f"not converged: {solver} "
+                                 f"after {iterations} iterations\n")
         elif args.command == "spectral-check":
             rows = bench.run_spectral_check(N=args.N, cells=args.h,
                                             space=args.space, T=args.T,

@@ -11,7 +11,9 @@ and its inverse is the plain type-II DST,
 
 Transforms act along axis 0 of an (N, dim) block vector, component-wise
 over the spatial dimension, and map to the standard real fast transforms
-(``scipy.fft.dst``) for every N.
+(``scipy.fft.dst``) for every N.  They run along the last axis of the
+transposed (dim, N) view, which is contiguous for the Fortran-order blocks
+the solvers hold, and return Fortran-order blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ import scipy.fft
 
 from .errors import DimensionMismatchError
 from . import timing
+
+
+def _dst(u: np.ndarray, kind: int, divisor: float, overwrite: bool = False) -> np.ndarray:
+    """scipy's DST of type kind along axis 0 of u, divided by divisor, run
+    on the transposed view."""
+    out = scipy.fft.dst(u.T, type=kind, axis=-1, overwrite_x=overwrite)
+    out /= divisor
+    return out.T
 
 
 class DstPlan:
@@ -55,27 +65,27 @@ class DstPlan:
         """Apply the weighted type-III DST (the analysis map)."""
         u = self._check(u)
         with timing.timed("fft"):
-            return scipy.fft.dst(u, type=3, axis=0) / self.N
+            return _dst(u, 3, self.N)
 
     def inverse(self, uhat: np.ndarray) -> np.ndarray:
         """Apply the type-II DST (the synthesis map)."""
         uhat = self._check(uhat)
         with timing.timed("fft"):
-            return scipy.fft.dst(uhat, type=2, axis=0) / 2.0
+            return _dst(uhat, 2, 2.0)
 
     def forward_transpose(self, v: np.ndarray) -> np.ndarray:
         v = self._check(v)
         with timing.timed("fft"):
-            out = scipy.fft.dst(v, type=2, axis=0) / self.N
+            out = _dst(v, 2, self.N)
             out[-1] *= 0.5
             return out
 
     def inverse_transpose(self, u: np.ndarray) -> np.ndarray:
         u = self._check(u)
         with timing.timed("fft"):
-            w = u.copy()
+            w = u.copy(order="F")
             w[-1] *= 2.0
-            return scipy.fft.dst(w, type=3, axis=0) / 2.0
+            return _dst(w, 3, 2.0, overwrite=True)
 
     # dense matrix representations, used by test oracles only
     def forward_matrix(self) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Spatial vectors are 1-d numpy arrays of length ``dim``.  Block vectors over
 the time index are 2-d arrays of shape ``(N, dim)``: row ``n`` holds the
-spatial coefficient vector of time-step ``n+1``.  Saddle vectors pair two
-block vectors ``(p, u)``.
+spatial coefficient vector of time-step ``n+1``.  The solvers store them in
+Fortran order, so that the transpose is a C-order ``(dim, N)`` block on
+which ``SpatialMatrix.dot`` acts without a copy; any order is accepted.
+Saddle vectors pair two block vectors ``(p, u)``.
 """
 
 from __future__ import annotations

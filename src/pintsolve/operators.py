@@ -1,11 +1,16 @@
 """Matrix-free time-global operators and the discrete parabolic norms.
 
-All operators act on block vectors of shape (N, dim).  The coupling operator
-pairs the backward-difference stencil in time with the mass operator; the
-block-diagonal part applies tau_n * A_n, one product per step group.  Its
-exact inverse (needed by the left-preconditioned operator, the
-optimal-test-function map, and the dual norms) is a diagnostic feature built
-on demand: the direct ``BlockDiagSolver``.
+All operators act on block vectors of shape (N, dim).  The solvers hold
+them in Fortran order, so that the transpose is a C-order (dim, N) block
+whose columns are the time steps: the sparse spatial products, the sine
+transforms and the batched spatial solvers all run on that view, and a
+Fortran-order input gives a Fortran-order result.  C-order inputs give the
+same values.  The coupling operator pairs the backward-difference stencil in
+time with the mass operator, so K u and K' u are differences of M u along
+the time axis; the block-diagonal part applies tau_n * A_n, one product per
+step group.  Its exact inverse (needed by the left-preconditioned operator,
+the optimal-test-function map, and the dual norms) is a diagnostic feature
+built on demand: the direct ``BlockDiagSolver``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,23 @@ from . import parallel
 
 def fold_rhs(spec: ProblemSpec) -> np.ndarray:
     """Time-global right-hand side: tau_n f_n, with M u_I added to block 1."""
-    rhs = spec.grid.steps[:, None] * spec.load
+    rhs = np.asfortranarray(spec.grid.steps[:, None] * spec.load)
     rhs[0] += spec.mass.dot(spec.u_init)
     return rhs
+
+
+def time_difference(mx: np.ndarray) -> np.ndarray:
+    """K x from the block M x: (M x)_n - (M x)_{n-1}, with (M x)_0 = 0."""
+    out = mx.copy(order="F")
+    out[1:] -= mx[:-1]
+    return out
+
+
+def time_difference_t(mx: np.ndarray) -> np.ndarray:
+    """K' x from the block M x: (M x)_n - (M x)_{n+1}, with (M x)_{N+1} = 0."""
+    out = mx.copy(order="F")
+    out[:-1] -= mx[1:]
+    return out
 
 
 class BlockDiagSolver:
@@ -36,23 +55,28 @@ class BlockDiagSolver:
                  hierarchy: MgHierarchy | None = None, **opts):
         self.kind = kind
         # (solver of the base, steps using it, tau_n * scale_n for those steps)
-        self._groups: list[tuple[SpatialSolver, np.ndarray, np.ndarray]] = [
+        self._groups: list[tuple[SpatialSolver, np.ndarray | slice, np.ndarray]] = [
             (make_solver(base, kind, hierarchy=hierarchy, **opts),
-             np.arange(spec.N)[steps], spec.grid.steps[steps] * scales)
+             steps, spec.grid.steps[steps] * scales)
             for base, steps, scales in spec.step_groups
         ]
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(b)
+        """Solve every step, in column blocks of at most the solver's
+        ``block_columns`` steps, spread over the threads."""
+        bt = np.asarray(b, dtype=np.float64).T
+        out = np.empty(bt.shape).T
+        # steps is slice(None) when one group holds every step: its column
+        # blocks are views of bt, not copies
         tasks = [
-            (solver, rows[cols], divisor[cols])
-            for solver, rows, divisor in self._groups
-            for cols in parallel.chunks(len(rows))
+            (solver, cols if isinstance(steps, slice) else steps[cols], divisor[cols])
+            for solver, steps, divisor in self._groups
+            for cols in parallel.chunks(len(divisor), solver.block_columns)
         ]
 
         def task(i: int) -> None:
-            solver, rows, divisor = tasks[i]
-            out[rows] = (solver.apply(b[rows].T) / divisor).T
+            solver, steps, divisor = tasks[i]
+            out.T[:, steps] = solver.apply(bt[:, steps]) / divisor
 
         parallel.block_map(task, len(tasks))
         return out
@@ -92,19 +116,15 @@ class TimeGlobalSystem:
 
     # --- first-order operators ------------------------------------------------
 
+    def apply_M(self, u: np.ndarray) -> np.ndarray:
+        """The mass operator on every step."""
+        return self.spec.mass.dot(self._check(u).T).T
+
     def apply_K(self, u: np.ndarray) -> np.ndarray:
-        u = self._check(u)
-        mu = self.spec.mass.dot(u.T).T
-        out = mu.copy()
-        out[1:] -= mu[:-1]
-        return out
+        return time_difference(self.apply_M(u))
 
     def apply_Kt(self, u: np.ndarray) -> np.ndarray:
-        u = self._check(u)
-        mu = self.spec.mass.dot(u.T).T
-        out = mu.copy()
-        out[:-1] -= mu[1:]
-        return out
+        return time_difference_t(self.apply_M(u))
 
     def apply_Abd(self, u: np.ndarray) -> np.ndarray:
         u = self._check(u)
@@ -124,10 +144,15 @@ class TimeGlobalSystem:
         return self.apply_Kt(u) + self.apply_Abd(u)
 
     def apply_saddle(self, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the symmetric indefinite two-by-two block operator."""
-        ku = self.apply_K(u)
+        """Apply the symmetric indefinite two-by-two block operator.
+
+        Makes two mass products (M p, M u) and two of A_bd (p, u).
+        """
+        mu = self.apply_M(u)
+        ku = time_difference(mu)
         top = self.apply_Abd(p) - ku
-        bottom = -self.apply_Kt(p) - (ku + self.apply_Kt(u) + self.apply_Abd(u))
+        bottom = -time_difference_t(self.apply_M(p)) - (
+            ku + time_difference_t(mu) + self.apply_Abd(u))
         return top, bottom
 
     # --- diagnostic-mode operators ---------------------------------------------
@@ -149,11 +174,12 @@ class TimeGlobalSystem:
 
     def apply_S(self, u: np.ndarray) -> np.ndarray:
         """Left-preconditioned (Schur complement) operator."""
-        ku = self.apply_K(u)
+        mu = self.apply_M(u)
+        ku = time_difference(mu)
         return (
             self.apply_Kt(self.apply_Abd_inv(ku))
             + ku
-            + self.apply_Kt(u)
+            + time_difference_t(mu)
             + self.apply_Abd(u)
         )
 

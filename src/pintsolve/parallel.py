@@ -44,14 +44,20 @@ def block_map(fn: Callable[[int], None], count: int) -> None:
     list(pool.map(fn, range(count)))
 
 
-def chunks(count: int) -> list[slice]:
-    """Split range(count) into at most get_num_threads() contiguous slices."""
-    parts = max(1, min(_num_threads, count))
+def chunks(count: int, width: int | None = None) -> list[slice]:
+    """Split range(count) into contiguous slices of near-equal length.
+
+    Without width there are at most get_num_threads() slices; with it, as
+    many more as keep each slice at most width long.
+    """
+    parts = _num_threads if width is None else max(_num_threads, -(-count // width))
+    parts = max(1, min(parts, count))
     bounds = [count * i // parts for i in range(parts + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def chunk_map(fn: Callable[[slice], None], count: int) -> None:
-    """Run fn(cols) over chunks(count); fn must write only to its own columns."""
-    parts = chunks(count)
+def chunk_map(fn: Callable[[slice], None], count: int,
+              width: int | None = None) -> None:
+    """Run fn(cols) over chunks(count, width); fn must write only to its own columns."""
+    parts = chunks(count, width)
     block_map(lambda i: fn(parts[i]), len(parts))

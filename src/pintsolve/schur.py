@@ -147,7 +147,11 @@ class SchurPreconditioner:
         return r
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Approximate Schur-complement inverse: one preconditioner action."""
+        """Approximate Schur-complement inverse: one preconditioner action.
+
+        The inexact kinds run the whole solve, A_ref product, solve stage on
+        column blocks of at most ``batched.block_columns`` modes.
+        """
         r = self._check(r)
         rhat = self.plan.inverse_transpose(r)
         if self._eig is not None:
@@ -158,20 +162,29 @@ class SchurPreconditioner:
                 out = ((rhat @ v) * d) @ v.T
             return self.plan.inverse(out)
         scale = 2.0 * self.tau_ref / self.N
-        out = np.empty_like(rhat)
+        if self.batched is None:
+            # one factorization per mode, each solving a contiguous row
+            rhat = np.ascontiguousarray(rhat)
+            out = np.empty_like(rhat)
 
-        def columns(cols: slice) -> None:
-            if self.batched is None:
+            def modes(cols: slice) -> None:
                 for k in range(self.N)[cols]:
                     s = self._direct[k]
                     out[k] = scale * s.apply(self.a_ref.dot(s.apply(rhat[k])))
-                return
-            s = self.batched.columns(cols)
-            y = self.a_ref.dot(s.apply(rhat[cols].T))
-            out[cols] = scale * s.apply(y).T
 
-        parallel.chunk_map(columns, self.N)
-        return self.plan.inverse(out)
+            parallel.chunk_map(modes, self.N)
+            return self.plan.inverse(out)
+        # the (dim, N) views, one column per mode
+        rhat = rhat.T
+        out = np.empty_like(rhat, order="C")
+
+        def columns(cols: slice) -> None:
+            s = self.batched.columns(cols)
+            y = self.a_ref.dot(s.apply(rhat[:, cols]))
+            out[:, cols] = scale * s.apply(y)
+
+        parallel.chunk_map(columns, self.N, self.batched.block_columns)
+        return self.plan.inverse(out.T)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Exact forward application; only meaningful with direct solvers."""

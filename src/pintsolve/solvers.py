@@ -10,7 +10,13 @@ import numpy as np
 
 from .errors import InputError, NotSpdError, SolverDivergenceError
 from .linalg import SpdFactor, add_matrices
-from .operators import BlockDiagSolver, TimeGlobalSystem, d_norm
+from .operators import (
+    BlockDiagSolver,
+    TimeGlobalSystem,
+    d_norm,
+    time_difference,
+    time_difference_t,
+)
 from .problems import ProblemSpec
 from .schur import SchurPreconditioner
 from . import timing
@@ -155,16 +161,18 @@ def uzawa_solve(
     The default stopping rule uses the preconditioned residual of the saddle
     system, evaluated with the auxiliary residual at the old iterate and the
     principal residual after the auxiliary update (both quadratic forms are
-    by-products of the updates, so the rule costs no extra solves).
+    by-products of the updates, so the rule costs no extra solves).  Each
+    iteration makes two mass products (M u, M p) and two of A_bd (p, u).
+    The iterates are Fortran-order (N, dim) blocks.
     """
     spec = system.spec
     f = system.rhs
     hist = ConvergenceHistory()
     if initial is not None:
-        p, u = initial[0].copy(), initial[1].copy()
+        p, u = initial[0].copy(order="F"), initial[1].copy(order="F")
     else:
-        p = np.zeros((spec.N, spec.dim))
-        u = np.zeros((spec.N, spec.dim))
+        p = np.zeros((spec.N, spec.dim), order="F")
+        u = np.zeros((spec.N, spec.dim), order="F")
 
     diagnostics = cfg.diagnostics or cfg.stopping == "s_norm_error"
     u_star = None
@@ -188,11 +196,14 @@ def uzawa_solve(
     t0 = time.perf_counter()
     first_res = None
     for _ in range(cfg.max_iter):
-        ku = system.apply_K(u)
+        # K u, K' u and K' p are differences of M u and M p along time
+        mu = system.apply_M(u)
+        ku = time_difference(mu)
         r1 = ku - system.apply_Abd(p) - f
         dp = atilde.apply_inverse(r1)
         p = p + dp
-        z = f - system.apply_Kt(p) - (ku + system.apply_Kt(u) + system.apply_Abd(u))
+        z = f - time_difference_t(system.apply_M(p)) - (
+            ku + time_difference_t(mu) + system.apply_Abd(u))
         y = htilde.apply_inverse(z)
         u = u + cfg.omega * y
 
@@ -255,27 +266,29 @@ def minres_solve(
 
     Paige & Saunders' recurrence, step for step as in
     ``scipy.sparse.linalg.minres`` and with its stopping tests, on one
-    (2N, dim) block whose rows [:N] hold p and rows [N:] hold u.  Each
-    iteration makes one saddle product and one preconditioner application.
-    The recorded residual is the recurrence's preconditioned residual norm
-    phibar over beta1 = sqrt(g' P^-1 g), so it costs nothing extra.
+    (2, dim, N) array whose [0].T and [1].T are the Fortran-order (N, dim)
+    blocks p and u.  Each iteration makes one saddle product and one
+    preconditioner application.  The recorded residual is the recurrence's
+    preconditioned residual norm phibar over beta1 = sqrt(g' P^-1 g), so it
+    costs nothing extra.
     """
     if max_iter < 1:
         raise InputError("iteration limit must be at least one")
-    N = system.spec.N
     f = system.rhs
-    g = -np.concatenate([f, f])
+    g = np.empty((2,) + f.T.shape)
+    g[0] = g[1] = -f.T
     eps = np.finfo(np.float64).eps
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        out[:N], out[N:] = system.apply_saddle(v[:N], v[N:])
+        top, bottom = system.apply_saddle(v[0].T, v[1].T)
+        out[0], out[1] = top.T, bottom.T
         return out
 
     def precond(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
-        out[:N] = atilde.apply_inverse(r[:N])
-        out[N:] = htilde.apply_inverse(r[N:])
+        out[0] = atilde.apply_inverse(r[0].T).T
+        out[1] = htilde.apply_inverse(r[1].T).T
         return out
 
     # cheap positivity probe of the preconditioner
@@ -293,7 +306,7 @@ def minres_solve(
     beta1 = _preconditioned_norm(g, y)
     if beta1 == 0.0:
         hist.converged = True
-        return (x[:N], x[N:]), hist
+        return (x[0].T, x[1].T), hist
 
     istop = 0
     oldb = 0.0
@@ -376,4 +389,4 @@ def minres_solve(
         if istop != 0:
             break
     hist.converged = istop != 6
-    return (x[:N], x[N:]), hist
+    return (x[0].T, x[1].T), hist

@@ -24,15 +24,39 @@ from .linalg import (
 )
 from . import timing
 
+# Columns per block of the inexact kinds.  The V-cycle (or Jacobi)
+# temporaries made from a block are then small enough for the allocator to
+# reuse their memory instead of returning it to the OS and faulting it back
+# in, and a block is still wide enough to amortize the per-call cost of the
+# sparse products on every level.  A width fixed in columns, not in bytes,
+# because 256 KiB blocks (8 columns at dim 3969) lost to 32-64 columns.
+# Set-up plus Uzawa solve of 2d heat with one V-cycle, one thread, 2 MiB L2
+# (seconds, minor page faults):
+#   h=1/32, N=256 (dim 961): whole 256-column blocks 2.7-3.1 s, 375k-445k;
+#     64 columns 1.8-2.4 s, 20k-35k; 34 columns 1.6-2.3 s, 18k-36k;
+#     8, 16 and 128 columns slower.
+#   h=1/64, N=256 (dim 3969): whole 10.3-13.5 s, 490k-540k; 64 columns
+#     8.7-10.9 s, 130k-200k; 32 columns 9.2-9.6 s; 8 columns 11.9-15.3 s;
+#     128 columns 12.2-12.5 s.
+#   h=1/64, N=1024: whole 49.5-57.7 s, 560k-690k; 64 columns 54.0-57.4 s,
+#     290k-315k; 8 columns 57.8 s.
+#   h=1/16, N=1024 (dim 225): whole 2.5-2.8 s, 340k-390k; 64 columns
+#     2.2-2.3 s, 93k-99k; 145 columns 2.2-2.4 s; 16 and 32 columns slower.
+#   h=1/32, N=256, Jacobi, 40 iterations: whole 4.4 s, 490k; 64 columns
+#     3.2-3.4 s, 200k.
+BLOCK_COLUMNS = 64
+
 
 class SpatialSolver:
     """Approximate inverse of an SPD spatial operator.
 
     ``apply`` takes a vector of length ``dim`` or a ``(dim, m)`` block whose
-    columns are independent right-hand sides.
+    columns are independent right-hand sides.  ``block_columns`` is the
+    largest m worth passing at once, None for no limit.
     """
 
     target: SpatialMatrix
+    block_columns: int | None = None
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -96,6 +120,8 @@ class _BlendSolver(SpatialSolver):
     them every column is solved against target.  Subclasses keep their
     per-column arrays in ``_scales``, which ``columns`` slices.
     """
+
+    block_columns = BLOCK_COLUMNS
 
     def __init__(self, target: SpatialMatrix, mass: SpatialMatrix | None,
                  shifts: np.ndarray | None):
@@ -230,6 +256,8 @@ class MgVCycleSolver(_BlendSolver):
         for p in hierarchy.prolongations:
             ops.append(ops[-1].coarsen(p))
         self._ops = ops
+        # restrictions P' as CSR once, not a new CSC transpose per product
+        self._restrictions = [p.T.tocsr() for p in hierarchy.prolongations]
         coarse = ops[-1]
         try:
             lam, self._coarse_v = scipy.linalg.eigh(
@@ -256,9 +284,9 @@ class MgVCycleSolver(_BlendSolver):
         x = dinv * b
         for _ in range(self.smooth_steps - 1):
             x += dinv * (b - op.dot(x, shifts))
-        p = self.hierarchy.prolongations[level]
         r = b - op.dot(x, shifts)
-        x = x + p @ self._vcycle(level + 1, p.T @ r)
+        coarse = self._vcycle(level + 1, self._restrictions[level] @ r)
+        x += self.hierarchy.prolongations[level] @ coarse
         for _ in range(self.smooth_steps):
             x += dinv * (b - op.dot(x, shifts))
         return x

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pintsolve
 import pintsolve.bench as bench
 from pintsolve.cli import main
 
@@ -37,6 +43,17 @@ class TestBenchDrivers:
         for label in labels:
             errs = [r["s_norm_error"] for r in rows if r["solver"] == label]
             assert errs[-1] < errs[0]
+
+    def test_history_flags_iteration_limit(self):
+        # a tiny damping stalls every variant at max_iter
+        rows = bench.run_history(N=16, cells=8, space="1d", omega=0.01, max_iter=5)
+        assert len(rows) == 15
+        assert not any(r["converged"] for r in rows)
+
+    def test_history_rows_carry_convergence(self):
+        rows = bench.run_history(N=16, cells=8, space="1d", tol=1e-6)
+        assert {r["solver"] for r in rows} == {"direct", "mg1", "mg2"}
+        assert all(r["converged"] for r in rows)
 
     def test_spectral_check_direct(self):
         rows = bench.run_spectral_check(N=16, cells=8, space="1d",
@@ -80,6 +97,19 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("iter,residual")
         assert float(lines[-1].split(",")[1]) < 1e-9
+
+    def test_module_entry_point(self):
+        src = str(Path(pintsolve.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pintsolve", "solve", "--space", "1d",
+             "--h", "8", "--N", "8", "--tol", "1e-9"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("iter,residual,")
 
     def test_solve_sequential_method(self, capsys):
         assert main(["solve", "--method", "sequential", "--h", "8",
@@ -133,6 +163,19 @@ class TestCli:
         # the table is still written, with the columns of the header only
         assert out.read_text() == "h,N,iterations\n1/8,16,200\n"
         assert "not converged" in capsys.readouterr().err
+
+    def test_history_not_converged_exit_four(self, tmp_path, capsys):
+        out = tmp_path / "history.csv"
+        rc = main(["history", "--h", "8", "--N", "16", "--omega", "0.01",
+                   "--max-iter", "5", "--out", str(out)])
+        assert rc == 4
+        # the history is still written, with the columns of the header only
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "iter,solver,s_norm_error,residual"
+        assert len(lines) == 16
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 3
+        assert all("not converged" in line for line in err)
 
     @staticmethod
     def varcoef_problem_lines(tmp_path) -> list[str]:

@@ -72,6 +72,21 @@ class TestBlockOperators:
         assert np.allclose(top.ravel(), ref[:nd], atol=1e-10)
         assert np.allclose(bottom.ravel(), ref[nd:], atol=1e-10)
 
+    def test_storage_order_does_not_change_results(self, spec, system):
+        p, u = rand_u(spec, 5), rand_u(spec, 6)
+        pf, uf = np.asfortranarray(p), np.asfortranarray(u)
+        assert p.flags.c_contiguous and pf.flags.f_contiguous
+        for op in (system.apply_M, system.apply_K, system.apply_Kt,
+                   system.apply_Abd):
+            assert np.array_equal(op(u), op(uf))
+        for c, f in zip(system.apply_saddle(p, u), system.apply_saddle(pf, uf)):
+            assert np.array_equal(c, f)
+
+    def test_M_matches_kron_oracle(self, spec, system):
+        u = rand_u(spec, 7)
+        ref = np.kron(np.eye(spec.N), oracle.dense_M(spec)) @ u.ravel()
+        assert np.allclose(system.apply_M(u).ravel(), ref, atol=1e-12)
+
     def test_shape_validation(self, system, spec):
         with pytest.raises(DimensionMismatchError):
             system.apply_K(np.zeros((spec.N + 1, spec.dim)))

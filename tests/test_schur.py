@@ -188,3 +188,33 @@ class TestBatchedModes:
             h_k = ht.blocks[k]
             b = np.arange(1.0, spec.dim + 1.0)
             assert np.allclose(h_k.dot(ht.solvers[k].apply(b)), b, atol=1e-10)
+
+
+class TestStorageOrder:
+    """C-order and Fortran-order copies of one block give identical results."""
+
+    @staticmethod
+    def specs():
+        grid = ps.build_time_grid("perturbed", 10, 1.0, perturbation=0.3, seed=5)
+        varcoef = ps.make_heat_problem("2d", 8, grid, data="zero",
+                                       coeff=lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
+        return [varcoef, oracle.per_step_spec()]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["varcoef-2d", "per-step-1d"])
+    @pytest.mark.parametrize("kind,eig_limit", [
+        ("direct", ps.schur.EIG_DIM_LIMIT), ("direct", 0), ("mg", None),
+        ("jacobi", None),
+    ])
+    def test_preconditioners(self, which, kind, eig_limit, monkeypatch):
+        if eig_limit is not None:
+            monkeypatch.setattr(ps.schur, "EIG_DIM_LIMIT", eig_limit)
+        spec = self.specs()[which]
+        hier = ps.build_mg_hierarchy(spec.meta["space"], spec.meta["mesh"])
+        at = ps.BlockDiagSolver(spec, kind, hierarchy=hier)
+        ht = ps.build_schur_preconditioner(spec, kind)
+        r = np.random.default_rng(which).standard_normal((spec.N, spec.dim))
+        rf = np.asfortranarray(r)
+        for apply_inverse in (at.apply_inverse, ht.apply_inverse):
+            c, f = apply_inverse(r), apply_inverse(rf)
+            assert c.shape == (spec.N, spec.dim)
+            assert np.array_equal(c, f)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -343,3 +345,84 @@ class TestThreadCountIndependence:
         assert h1.residual == h2.residual
         assert np.array_equal(p1, p2)
         assert np.array_equal(u1, u2)
+
+
+class TestColumnBlocks:
+    """Column blocks of the inexact kinds leave every iterate unchanged."""
+
+    @staticmethod
+    def solve(spec, kind, method, threads):
+        ps.set_num_threads(threads)
+        try:
+            system, at, ht = setup(spec, kind)
+            if method == "minres":
+                return ps.minres_solve(system, at, ht, tol=1e-10, max_iter=60), ht
+            cfg = ps.UzawaConfig(tol=1e-10, max_iter=40)
+            return ps.uzawa_solve(system, at, ht, cfg), ht
+        finally:
+            ps.set_num_threads(1)
+
+    @pytest.mark.parametrize("kind,method",
+                             [("mg", "uzawa"), ("jacobi", "uzawa"), ("mg", "minres")])
+    def test_blocked_iterates_match_one_block(self, kind, method, monkeypatch):
+        # unequal steps, so that every column block has its own divisors
+        grid = ps.build_time_grid("perturbed", 64, 1.0, perturbation=0.3, seed=3)
+        spec = ps.make_heat_problem("2d", 8, grid, data="sine")
+        monkeypatch.setattr(ps.spatial._BlendSolver, "block_columns", spec.N)
+        ((p0, u0), h0), ht = self.solve(spec, kind, method, threads=1)
+        assert ht.batched.block_columns == spec.N
+        width = 20
+        monkeypatch.setattr(ps.spatial._BlendSolver, "block_columns", width)
+        assert len(ps.parallel.chunks(spec.N, width)) >= 3
+        for threads in (1, 2):
+            ((p, u), hist), ht = self.solve(spec, kind, method, threads)
+            assert ht.batched.block_columns == width
+            assert hist.iterations == h0.iterations
+            assert np.array_equal(p, p0)
+            assert np.array_equal(u, u0)
+
+
+class TestProductCounts:
+    """One Uzawa iteration makes two mass products and two products per
+    step group: K u, K' u and K' p are differences of M u and M p."""
+
+    class Counting(ps.SpatialMatrix):
+        calls = 0
+
+        def dot(self, x):
+            self.calls += 1
+            return super().dot(x)
+
+    @staticmethod
+    def sine_spec():
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        return ps.make_heat_problem("1d", 8, grid, data="sine")
+
+    @pytest.mark.parametrize("make_spec", [sine_spec, oracle.per_step_spec],
+                             ids=["one-group", "three-groups"])
+    def test_products_per_uzawa_iteration(self, make_spec):
+        spec = make_spec()
+        counted = {}
+
+        def counting(m):
+            if m not in counted:
+                counted[m] = self.Counting.from_sparse(m.tocsr())
+            return counted[m]
+
+        mass = counting(spec.mass)
+        stiffness = []
+        for a_n in spec.stiffness:
+            base, scale = a_n.as_scaled()
+            stiffness.append(counting(base).scaled(scale))
+        spec = dataclasses.replace(spec, mass=mass, stiffness=stiffness)
+        bases = [base for base, _, _ in spec.step_groups]
+        assert len(bases) == len(counted) - 1
+        assert all(isinstance(base, self.Counting) for base in bases)
+        system, at, ht = setup(spec)
+        calls = []
+        for max_iter in (1, 2):
+            before = [m.calls for m in (mass, *bases)]
+            ps.uzawa_solve(system, at, ht, ps.UzawaConfig(max_iter=max_iter))
+            calls.append([m.calls - b for m, b in zip((mass, *bases), before)])
+        per_iteration = np.subtract(calls[1], calls[0])
+        assert per_iteration.tolist() == [2] * (1 + len(bases))
