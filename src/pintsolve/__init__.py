@@ -40,13 +40,7 @@ from .problems import (
     make_heat_problem,
     save_problem,
 )
-from .dst import (
-    DstPlan,
-    dst_forward,
-    dst_forward_transpose,
-    dst_inverse,
-    dst_inverse_transpose,
-)
+from .dst import DstPlan
 from .operators import (
     BlockDiagSolver,
     TimeGlobalSystem,

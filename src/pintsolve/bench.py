@@ -9,7 +9,6 @@ digits so the CSV round-trips exactly.
 from __future__ import annotations
 
 import statistics
-import time
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .solvers import (
     uzawa_solve,
 )
 from .spatial import build_mg_hierarchy, estimate_gamma_Gamma, estimate_rho_A, make_solver
-from . import parallel, timing
+from . import parallel
 
 TABLE1_CSV_HEADER = "h,N,lambda_min,lambda_max,kappa"
 TABLE2_CSV_HEADER = "h,N,iterations"
@@ -277,39 +276,40 @@ def run_scaling(
     repeats: int = 5,
 ) -> list[dict]:
     """Wall time per iteration of the two-stage iteration versus the number
-    of worker threads, with the transform/spatial share of the total."""
+    of worker threads, with the transform/spatial share of the total.
+
+    Times and shares come from the solves' histories: the total covers the
+    iteration loop, and the shares are those of the last repeat.  The
+    caller's thread count is restored on return.
+    """
     thread_list = thread_list or [1, 2, 4]
     grid = build_time_grid("uniform", N, T)
     spec = make_heat_problem(space, cells, grid, data="sine")
     system = TimeGlobalSystem(spec)
     hier = build_mg_hierarchy(space, cells)
     rows = []
-    for threads in thread_list:
-        parallel.set_num_threads(threads)
-        at = BlockDiagSolver(spec, "mg", hierarchy=hier, cycles=1)
-        ht = build_schur_preconditioner(spec, "mg", vcycles=1)
-        cfg = UzawaConfig(omega=omega, tol=1e-30, max_iter=iters)
-        uzawa_solve(system, at, ht, cfg)  # warm-up
-        times = []
-        fft_share = spatial_share = 0.0
-        for _ in range(repeats):
-            timing.reset()
-            t0 = time.perf_counter()
-            uzawa_solve(system, at, ht, cfg)
-            total = time.perf_counter() - t0
-            counters = timing.snapshot()
-            times.append(total)
-            fft_share = counters["fft"] / total
-            spatial_share = counters["spatial"] / total
-        total = statistics.median(times)
-        rows.append(
-            {
-                "threads": threads,
-                "time_per_iter": total / iters,
-                "total_time": total,
-                "fft_share": fft_share,
-                "spatial_share": spatial_share,
-            }
-        )
-    parallel.set_num_threads(1)
+    caller_threads = parallel.get_num_threads()
+    try:
+        for threads in thread_list:
+            parallel.set_num_threads(threads)
+            at = BlockDiagSolver(spec, "mg", hierarchy=hier, cycles=1)
+            ht = build_schur_preconditioner(spec, "mg", vcycles=1)
+            cfg = UzawaConfig(omega=omega, tol=1e-30, max_iter=iters)
+            uzawa_solve(system, at, ht, cfg)  # warm-up
+            times = []
+            for _ in range(repeats):
+                _, hist = uzawa_solve(system, at, ht, cfg)
+                times.append(hist.wall_seconds[-1])
+            total = statistics.median(times)
+            rows.append(
+                {
+                    "threads": threads,
+                    "time_per_iter": total / hist.iterations,
+                    "total_time": total,
+                    "fft_share": hist.fft_seconds[-1] / hist.wall_seconds[-1],
+                    "spatial_share": hist.spatial_seconds[-1] / hist.wall_seconds[-1],
+                }
+            )
+    finally:
+        parallel.set_num_threads(caller_threads)
     return rows

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.fft
 
 from .errors import DimensionMismatchError
-from . import timing
 
 
 def _dst(u: np.ndarray, kind: int, divisor: float, overwrite: bool = False) -> np.ndarray:
@@ -63,29 +62,21 @@ class DstPlan:
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Apply the weighted type-III DST (the analysis map)."""
-        u = self._check(u)
-        with timing.timed("fft"):
-            return _dst(u, 3, self.N)
+        return _dst(self._check(u), 3, self.N)
 
     def inverse(self, uhat: np.ndarray) -> np.ndarray:
         """Apply the type-II DST (the synthesis map)."""
-        uhat = self._check(uhat)
-        with timing.timed("fft"):
-            return _dst(uhat, 2, 2.0)
+        return _dst(self._check(uhat), 2, 2.0)
 
     def forward_transpose(self, v: np.ndarray) -> np.ndarray:
-        v = self._check(v)
-        with timing.timed("fft"):
-            out = _dst(v, 2, self.N)
-            out[-1] *= 0.5
-            return out
+        out = _dst(self._check(v), 2, self.N)
+        out[-1] *= 0.5
+        return out
 
     def inverse_transpose(self, u: np.ndarray) -> np.ndarray:
-        u = self._check(u)
-        with timing.timed("fft"):
-            w = u.copy(order="F")
-            w[-1] *= 2.0
-            return _dst(w, 3, 2.0, overwrite=True)
+        w = self._check(u).copy(order="F")
+        w[-1] *= 2.0
+        return _dst(w, 3, 2.0, overwrite=True)
 
     # dense matrix representations, used by test oracles only
     def forward_matrix(self) -> np.ndarray:
@@ -96,18 +87,3 @@ class DstPlan:
     def inverse_matrix(self) -> np.ndarray:
         return self.kernel().T
 
-
-def dst_forward(plan: DstPlan, u: np.ndarray) -> np.ndarray:
-    return plan.forward(u)
-
-
-def dst_inverse(plan: DstPlan, uhat: np.ndarray) -> np.ndarray:
-    return plan.inverse(uhat)
-
-
-def dst_forward_transpose(plan: DstPlan, v: np.ndarray) -> np.ndarray:
-    return plan.forward_transpose(v)
-
-
-def dst_inverse_transpose(plan: DstPlan, u: np.ndarray) -> np.ndarray:
-    return plan.inverse_transpose(u)

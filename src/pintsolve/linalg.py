@@ -38,21 +38,16 @@ class SpatialMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        # fold everything into the upper triangle, summing duplicates
+        # fold everything into the upper triangle, mirror the strict part;
+        # the one conversion to CSR sums duplicates
         lower = rows > cols
         r = np.where(lower, cols, rows)
         c = np.where(lower, rows, cols)
-        upper = sp.coo_matrix((vals, (r, c)), shape=(dim, dim)).tocsr()
-        upper.sum_duplicates()
-        upper = upper.tocoo()
-        strict = upper.row < upper.col
+        strict = r < c
         full = sp.coo_matrix(
             (
-                np.concatenate([upper.data, upper.data[strict]]),
-                (
-                    np.concatenate([upper.row, upper.col[strict]]),
-                    np.concatenate([upper.col, upper.row[strict]]),
-                ),
+                np.concatenate([vals, vals[strict]]),
+                (np.concatenate([r, c[strict]]), np.concatenate([c, r[strict]])),
             ),
             shape=(dim, dim),
         )

@@ -15,6 +15,8 @@ built on demand: the direct ``BlockDiagSolver``.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .errors import DiagnosticModeRequiredError, DimensionMismatchError
@@ -49,6 +51,8 @@ class BlockDiagSolver:
 
     One solver per group of ``spec.step_groups``, applied once per block to
     the columns of its steps; the scales fold into the per-step divisor.
+    ``spatial_seconds`` accumulates the wall time of those solves, read on
+    the calling thread.
     """
 
     def __init__(self, spec: ProblemSpec, kind: str = "direct",
@@ -60,6 +64,7 @@ class BlockDiagSolver:
              steps, spec.grid.steps[steps] * scales)
             for base, steps, scales in spec.step_groups
         ]
+        self.spatial_seconds = 0.0
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
         """Solve every step, in column blocks of at most the solver's
@@ -78,7 +83,9 @@ class BlockDiagSolver:
             solver, steps, divisor = tasks[i]
             out.T[:, steps] = solver.apply(bt[:, steps]) / divisor
 
+        start = time.perf_counter()
         parallel.block_map(task, len(tasks))
+        self.spatial_seconds += time.perf_counter() - start
         return out
 
 

@@ -14,6 +14,7 @@ so one application is two dense products on the whole block.
 from __future__ import annotations
 
 import operator
+import time
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import DimensionMismatchError, InputError, NotSpdError
 from .linalg import SpatialMatrix, SpdFactor, add_matrices
 from .problems import ProblemSpec
 from .spatial import MgHierarchy, SpatialSolver, build_mg_hierarchy, make_solver
-from . import parallel, timing
+from . import parallel
 
 
 # Largest spatial dimension for which the direct kind uses the dense
@@ -59,7 +60,8 @@ class _Views(Sequence):
 
 
 class SchurPreconditioner:
-    """Holds the frequency-mode solvers; immutable after build.
+    """Holds the frequency-mode solvers; immutable after build apart from
+    its two clocks.
 
     The direct kind diagonalizes the pencil (tau A, M) once when
     ``dim <= EIG_DIM_LIMIT`` and factorizes each mode otherwise.  The inexact
@@ -68,6 +70,10 @@ class SchurPreconditioner:
     ``blocks[k]`` and ``solvers[k]`` give the per-mode operators and solvers;
     unless the direct kind factorized each mode they are built on access, the
     inexact solvers as column views of the batched one.
+
+    ``fft_seconds`` and ``spatial_seconds`` accumulate the wall time that
+    ``apply_inverse`` spends in its two DSTs and in its mode stage, read on
+    the calling thread.
     """
 
     def __init__(
@@ -102,6 +108,8 @@ class SchurPreconditioner:
                 mass=spec.mass, shifts=self.mu, **solver_opts,
             )
         self._a_factor: SpdFactor | None = None  # built only for exact mode
+        self.fft_seconds = 0.0
+        self.spatial_seconds = 0.0
 
     @property
     def blocks(self) -> Sequence[SpatialMatrix]:
@@ -120,14 +128,13 @@ class SchurPreconditioner:
         return _Views(self.N, lambda k: self.batched.columns(slice(k, k + 1)))
 
     def _diagonalize(self) -> tuple[np.ndarray, np.ndarray]:
-        with timing.timed("spatial"):
-            try:
-                lam, v = scipy.linalg.eigh(
-                    self._tau_a.todense(), self.mass.todense(),
-                    overwrite_a=True, overwrite_b=True,
-                )
-            except scipy.linalg.LinAlgError as exc:
-                raise NotSpdError(f"mass matrix is not SPD: {exc}") from exc
+        try:
+            lam, v = scipy.linalg.eigh(
+                self._tau_a.todense(), self.mass.todense(),
+                overwrite_a=True, overwrite_b=True,
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpdError(f"mass matrix is not SPD: {exc}") from exc
         denom = self.mu[:, None] + lam
         if np.any(denom <= 0.0):
             raise NotSpdError("frequency-mode blend is not SPD")
@@ -147,20 +154,29 @@ class SchurPreconditioner:
         return r
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Approximate Schur-complement inverse: one preconditioner action.
+        """Approximate Schur-complement inverse: one preconditioner action."""
+        r = self._check(r)
+        t0 = time.perf_counter()
+        rhat = self.plan.inverse_transpose(r)
+        t1 = time.perf_counter()
+        out = self._solve_modes(rhat)
+        t2 = time.perf_counter()
+        u = self.plan.inverse(out)
+        self.fft_seconds += (t1 - t0) + (time.perf_counter() - t2)
+        self.spatial_seconds += t2 - t1
+        return u
+
+    def _solve_modes(self, rhat: np.ndarray) -> np.ndarray:
+        """(2 tau / N) H_k^-1 A_ref H_k^-1 on mode k (row k) of rhat.
 
         The inexact kinds run the whole solve, A_ref product, solve stage on
         column blocks of at most ``batched.block_columns`` modes.
         """
-        r = self._check(r)
-        rhat = self.plan.inverse_transpose(r)
         if self._eig is not None:
             # one product per side on the whole block; chunking the columns
             # would not be bit-identical across thread counts
             v, d = self._eig
-            with timing.timed("spatial"):
-                out = ((rhat @ v) * d) @ v.T
-            return self.plan.inverse(out)
+            return ((rhat @ v) * d) @ v.T
         scale = 2.0 * self.tau_ref / self.N
         if self.batched is None:
             # one factorization per mode, each solving a contiguous row
@@ -173,7 +189,7 @@ class SchurPreconditioner:
                     out[k] = scale * s.apply(self.a_ref.dot(s.apply(rhat[k])))
 
             parallel.chunk_map(modes, self.N)
-            return self.plan.inverse(out)
+            return out
         # the (dim, N) views, one column per mode
         rhat = rhat.T
         out = np.empty_like(rhat, order="C")
@@ -184,7 +200,7 @@ class SchurPreconditioner:
             out[:, cols] = scale * s.apply(y)
 
         parallel.chunk_map(columns, self.N, self.batched.block_columns)
-        return self.plan.inverse(out.T)
+        return out.T
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Exact forward application; only meaningful with direct solvers."""
@@ -192,10 +208,9 @@ class SchurPreconditioner:
             raise InputError("forward application requires direct (exact) solvers")
         u = self._check(u)
         uhat = self.plan.forward(u)
-        with timing.timed("spatial"):
-            if self._a_factor is None:
-                self._a_factor = SpdFactor(self.a_ref)
-            y = self._a_factor.solve(self._blend(uhat.T))
+        if self._a_factor is None:
+            self._a_factor = SpdFactor(self.a_ref)
+        y = self._a_factor.solve(self._blend(uhat.T))
         out = (self.N / (2.0 * self.tau_ref)) * self._blend(y)
         return self.plan.forward_transpose(out.T)
 

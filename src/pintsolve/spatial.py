@@ -22,7 +22,6 @@ from .linalg import (
     SpdFactor,
     lanczos_extremal_eig,
 )
-from . import timing
 
 # Columns per block of the inexact kinds.  The V-cycle (or Jacobi)
 # temporaries made from a block are then small enough for the allocator to
@@ -72,12 +71,10 @@ class SpatialSolver:
 class DirectSolver(SpatialSolver):
     def __init__(self, target: SpatialMatrix):
         self.target = target
-        with timing.timed("spatial"):
-            self._factor = SpdFactor(target)
+        self._factor = SpdFactor(target)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        with timing.timed("spatial"):
-            return self._factor.solve(b)
+        return self._factor.solve(b)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.target.dot(x)
@@ -173,13 +170,12 @@ class JacobiSolver(_BlendSolver):
         self._scales = [damping / self._op.diagonal(self._shifts)]
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        with timing.timed("spatial"):
-            rhs = self._block(b)
-            dinv = self._scales[0]
-            x = dinv * rhs
-            for _ in range(self.sweeps - 1):
-                x += dinv * (rhs - self._op.dot(x, self._shifts))
-            return x.reshape(np.shape(b))
+        rhs = self._block(b)
+        dinv = self._scales[0]
+        x = dinv * rhs
+        for _ in range(self.sweeps - 1):
+            x += dinv * (rhs - self._op.dot(x, self._shifts))
+        return x.reshape(np.shape(b))
 
 
 def _prolongation_1d(coarse_cells: int) -> sp.csr_matrix:
@@ -292,12 +288,11 @@ class MgVCycleSolver(_BlendSolver):
         return x
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        with timing.timed("spatial"):
-            rhs = self._block(b)
-            x = self._vcycle(0, rhs)
-            for _ in range(self.cycles - 1):
-                x += self._vcycle(0, rhs - self._op.dot(x, self._shifts))
-            return x.reshape(np.shape(b))
+        rhs = self._block(b)
+        x = self._vcycle(0, rhs)
+        for _ in range(self.cycles - 1):
+            x += self._vcycle(0, rhs - self._op.dot(x, self._shifts))
+        return x.reshape(np.shape(b))
 
 
 def make_solver(target: SpatialMatrix, kind: str, hierarchy: MgHierarchy | None = None,

@@ -30,14 +30,14 @@ class TestAgainstNaiveFormulas:
     def test_forward(self, N):
         rng = np.random.default_rng(N)
         u = rng.standard_normal(N)
-        got = ps.dst_forward(ps.DstPlan(N), u)
+        got = ps.DstPlan(N).forward(u)
         assert np.allclose(got, naive_forward(u), atol=1e-13)
 
     @pytest.mark.parametrize("N", SIZES)
     def test_inverse(self, N):
         rng = np.random.default_rng(N + 1)
         uhat = rng.standard_normal(N)
-        got = ps.dst_inverse(ps.DstPlan(N), uhat)
+        got = ps.DstPlan(N).inverse(uhat)
         assert np.allclose(got, naive_inverse(uhat), atol=1e-13)
 
 

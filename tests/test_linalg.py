@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import pintsolve as ps
 from pintsolve.errors import DimensionMismatchError, InputError, NotSpdError
@@ -23,6 +24,52 @@ class TestSpatialMatrix:
     def test_lower_triangle_input_is_folded(self):
         m = ps.SpatialMatrix(2, [1], [0], [5.0])
         assert np.array_equal(m.todense(), [[0.0, 5.0], [5.0, 0.0]])
+
+    @staticmethod
+    def two_pass_csr(dim, rows, cols, vals):
+        """Reference build: fold to the upper triangle, sum duplicates in
+        CSR, back to COO, append the mirrored strict part, CSR again."""
+        lower = rows > cols
+        r, c = np.where(lower, cols, rows), np.where(lower, rows, cols)
+        upper = sp.coo_matrix((vals, (r, c)), shape=(dim, dim)).tocsr()
+        upper.sum_duplicates()
+        upper = upper.tocoo()
+        strict = upper.row < upper.col
+        return sp.coo_matrix(
+            (np.concatenate([upper.data, upper.data[strict]]),
+             (np.concatenate([upper.row, upper.col[strict]]),
+              np.concatenate([upper.col, upper.row[strict]]))),
+            shape=(dim, dim),
+        ).tocsr()
+
+    @staticmethod
+    def assert_same_csr(got, ref):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+    @pytest.mark.parametrize("cells", [8, 16, 32, 64])
+    @pytest.mark.parametrize("space", ["1d", "2d"])
+    def test_assemblies_match_two_pass_build(self, space, cells):
+        assemble = {"1d": ps.assemble_mass_stiffness_1d,
+                    "2d": ps.assemble_mass_stiffness_2d}[space]
+        for m in assemble(cells):
+            ref = self.two_pass_csr(m.dim, m.rows, m.cols, m.vals)
+            self.assert_same_csr(m.tocsr(), ref)
+
+    def test_folded_duplicate_pairs_match_two_pass_build(self):
+        # every entry split into two parts, one of them given below the
+        # diagonal, in shuffled order
+        d = ps.assemble_mass_stiffness_2d(8)[1]
+        rng = np.random.default_rng(6)
+        part = rng.uniform(0.2, 0.8, d.vals.size) * d.vals
+        rows = np.concatenate([d.rows, d.cols])
+        cols = np.concatenate([d.cols, d.rows])
+        vals = np.concatenate([part, d.vals - part])
+        order = rng.permutation(rows.size)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        ref = self.two_pass_csr(d.dim, rows, cols, vals)
+        self.assert_same_csr(ps.SpatialMatrix(d.dim, rows, cols, vals).tocsr(), ref)
 
     def test_from_dense_rejects_nonsymmetric(self):
         with pytest.raises(InputError):

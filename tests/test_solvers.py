@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +271,68 @@ class TestHistoryCsv:
         assert float(first[1]) == hist.residual[0]
         # every recorded float survives the round trip exactly
         assert float(first[2]) == hist.s_norm_error[0]
+
+
+class TestHistoryClocks:
+    """fft_seconds and spatial_seconds are wall time on the calling thread:
+    they never decrease and never add up to more than wall_seconds."""
+
+    @staticmethod
+    def check(hist):
+        fft = np.array(hist.fft_seconds)
+        spatial = np.array(hist.spatial_seconds)
+        wall = np.array(hist.wall_seconds)
+        assert hist.iterations > 1
+        assert fft[0] >= 0.0 and spatial[0] > 0.0
+        assert np.all(np.diff(fft) >= 0.0)
+        assert np.all(np.diff(spatial) >= 0.0)
+        assert np.all(fft + spatial <= wall)
+
+    def test_uzawa_direct_on_two_threads(self):
+        grid = ps.build_time_grid("uniform", 1024, 1.0)
+        spec = ps.make_heat_problem("1d", 128, grid, data="sine")
+        try:
+            ps.set_num_threads(2)
+            system, at, ht = setup(spec)
+            _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(tol=1e-8))
+        finally:
+            ps.set_num_threads(1)
+        assert hist.converged
+        self.check(hist)
+
+    def test_overlapping_pool_solves_count_once(self, monkeypatch):
+        # a sleeping solve releases the GIL, so the two workers overlap
+        # fully: their summed time would read about twice the wall time
+        solve = ps.SpdFactor.solve
+
+        def slow_solve(self, b):
+            time.sleep(0.02)
+            return solve(self, b)
+
+        monkeypatch.setattr(ps.SpdFactor, "solve", slow_solve)
+        grid = ps.build_time_grid("uniform", 16, 1.0)
+        spec = ps.make_heat_problem("1d", 16, grid, data="sine")
+        try:
+            ps.set_num_threads(2)
+            system, at, ht = setup(spec)
+            _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(max_iter=3))
+        finally:
+            ps.set_num_threads(1)
+        self.check(hist)
+
+    def test_uzawa_mg(self):
+        grid = ps.build_time_grid("uniform", 32, 1.0)
+        spec = ps.make_heat_problem("2d", 16, grid, data="sine")
+        system, at, ht = setup(spec, "mg")
+        _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(tol=1e-8))
+        assert hist.converged
+        self.check(hist)
+
+    def test_minres_direct(self):
+        spec = oracle.random_spec(np.random.default_rng(5))
+        _, hist = ps.minres_solve(*setup(spec), tol=1e-10)
+        assert hist.converged
+        self.check(hist)
 
 
 class TestBlockDiagSolver:
