@@ -11,19 +11,15 @@ from __future__ import annotations
 import statistics
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BoundViolationError
 from .linalg import dense_generalized_eig_extremal, lanczos_extremal_eig
 from .operators import BlockDiagSolver, TimeGlobalSystem, dense_operator
 from .problems import ProblemSpec, build_time_grid, make_heat_problem
 from .schur import SchurPreconditioner, build_schur_preconditioner
-from .solvers import (
-    UzawaConfig,
-    minres_solve,
-    sequential_euler_solve,
-    uzawa_solve,
-)
-from .spatial import build_mg_hierarchy, estimate_gamma_Gamma, estimate_rho_A, make_solver
+from .solvers import UzawaConfig, sequential_euler_solve, uzawa_solve
+from .spatial import build_mg_hierarchy, estimate_gamma_Gamma
 from . import parallel
 
 TABLE1_CSV_HEADER = "h,N,lambda_min,lambda_max,kappa"
@@ -32,9 +28,10 @@ HISTORY_CSV_HEADER = "iter,solver,s_norm_error,residual"
 SPECTRAL_CSV_HEADER = "alpha,gamma,Gamma,lam_lo,lam_hi,bound_lo,bound_hi,pass"
 SCALING_CSV_HEADER = "threads,time_per_iter,total_time,fft_share,spatial_share"
 
-# run_table1 runs dense generalized eigensolves only up to this many unknowns;
-# larger cells switch to the matrix-free Lanczos path (a dense solve at the
-# module-wide limit would take hours on one core).
+# run_spectral_check solves the preconditioned Schur pencil densely only up to
+# this many unknowns (N * dim), and by Lanczos above it (a dense solve at the
+# module-wide limit would take hours on one core).  The criterion-1 test
+# reads it to choose the tolerance of each Table 1 cell.
 TABLE1_DENSE_LIMIT = 2500
 
 
@@ -52,23 +49,24 @@ def rows_to_csv(header: str, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _schur_spectrum(spec: ProblemSpec, seed: int, lanczos_iters: int) -> tuple[float, float]:
+def _schur_spectrum(spec: ProblemSpec, seed: int) -> tuple[float, float]:
     """Extremal eigenvalues of the Schur complement preconditioned by the
-    transform-diagonalized surrogate (exact spatial solves)."""
+    transform-diagonalized surrogate (exact spatial solves).
+
+    With A_ref V = M V diag(lam) and V' M V = I, S and H~ both split into one
+    N x N pencil per spatial mode: one Lanczos recurrence runs on each column
+    j of X, mode j of u = X V', through X -> H~^-1 S(X V') M V weighted by
+    X -> H~(X V') V."""
     system = TimeGlobalSystem(spec, diagnostic=True)
     ht = SchurPreconditioner(spec, solver_kind="direct")
-    N, dim = spec.N, spec.dim
-    if N * dim <= TABLE1_DENSE_LIMIT:
-        s_mat = dense_operator(system.apply_S, N, dim)
-        h_mat = dense_operator(ht.apply, N, dim)
-        return dense_generalized_eig_extremal(s_mat, h_mat)
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(N * dim)
+    _, v = scipy.linalg.eigh(spec.a_ref.todense(), spec.mass.todense())
+    mv = spec.mass.dot(v)
+    x0 = np.random.default_rng(seed).standard_normal((spec.N, spec.dim))
     res = lanczos_extremal_eig(
-        lambda v: ht.apply_inverse(system.apply_S(v.reshape(N, dim))).ravel(),
-        lambda v: ht.apply(v.reshape(N, dim)).ravel(),
+        lambda x: ht.apply_inverse(system.apply_S(x @ v.T)) @ mv,
+        lambda x: ht.apply(x @ v.T) @ v,
         x0,
-        iters=lanczos_iters,
+        iters=250,
     )
     return res.lam_min, res.lam_max
 
@@ -78,7 +76,6 @@ def run_table1(
     n_list: list[int] | None = None,
     T: float = 1.0,
     seed: int = 7,
-    lanczos_iters: int = 250,
 ) -> list[dict]:
     """Condition of the preconditioned Schur complement on the 1d problem.
 
@@ -92,7 +89,7 @@ def run_table1(
         for N in n_list:
             grid = build_time_grid("uniform", N, T)
             spec = make_heat_problem("1d", cells, grid, data="zero")
-            lo, hi = _schur_spectrum(spec, seed, lanczos_iters)
+            lo, hi = _schur_spectrum(spec, seed)
             rows.append(
                 {
                     "h": f"1/{cells}",
@@ -209,35 +206,28 @@ def run_spectral_check(
     spec = make_heat_problem(space, cells, grid, data="zero")
     system = TimeGlobalSystem(spec, diagnostic=True)
     alpha = spec.alpha
+    dim = spec.dim
 
-    if solver_kind == "direct":
-        gamma = big_gamma = 1.0
-        ht = SchurPreconditioner(spec, solver_kind="direct")
-    else:
-        ht = build_schur_preconditioner(spec, solver_kind, vcycles=vcycles)
-        gamma, big_gamma = 1.0, 1.0
-        for k in range(N):
-            g, bg = estimate_gamma_Gamma(
-                ht.blocks[k], ht.solvers[k], spec.a_ref, seed=seed + k
-            )
-            gamma = min(gamma, g)
-            big_gamma = max(big_gamma, bg)
+    ht = build_schur_preconditioner(spec, solver_kind, vcycles=vcycles)
+    gamma = big_gamma = 1.0
+    if solver_kind != "direct":
+        # one recurrence per frequency mode, all on the (dim, N) family
+        x0 = np.random.default_rng(seed).standard_normal((dim, N))
+        g, bg = estimate_gamma_Gamma(ht.blend, ht.batched, spec.a_ref, x0)
+        gamma, big_gamma = min(1.0, g), max(1.0, bg)
 
-    N_, dim = spec.N, spec.dim
-    if N_ * dim <= TABLE1_DENSE_LIMIT:
-        s_mat = dense_operator(system.apply_S, N_, dim)
-        h_mat = dense_operator(ht.apply_inverse, N_, dim)
+    if N * dim <= TABLE1_DENSE_LIMIT:
+        s_mat = dense_operator(system.apply_S, N, dim)
+        h_mat = dense_operator(ht.apply_inverse, N, dim)
         # eigenvalues of Htilde^{-1} S = eigenvalues of the pencil (S, Htilde)
         lo, hi = dense_generalized_eig_extremal(
             s_mat, np.linalg.inv(0.5 * (h_mat + h_mat.T))
         )
     else:
-        rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(N_ * dim)
         res = lanczos_extremal_eig(
-            lambda v: ht.apply_inverse(system.apply_S(v.reshape(N_, dim))).ravel(),
-            lambda v: system.apply_S(v.reshape(N_, dim)).ravel(),
-            x0,
+            lambda v: ht.apply_inverse(system.apply_S(v.reshape(N, dim))).ravel(),
+            lambda v: system.apply_S(v.reshape(N, dim)).ravel(),
+            np.random.default_rng(seed).standard_normal(N * dim),
             iters=200,
         )
         # with weight S instead of Htilde the Ritz values are still those of

@@ -187,18 +187,17 @@ class SpdFactor:
             raise NotSpdError("non-positive pivot: operator is not SPD")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for a length-``dim`` vector or each column of a (dim, m) block."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.dim and b.ndim == 2 and b.shape[1] == self.dim:
-            # multi-RHS convenience: rows are right-hand sides
-            return self._lu.solve(b.T).T
+        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"expected {self.dim} rows, got right-hand side of shape {b.shape}"
+            )
         return self._lu.solve(b)
 
 
 def cholesky_solve(mat: SpatialMatrix, b: np.ndarray) -> np.ndarray:
     """Exact solve L x = b for SPD L.  One-shot; cache SpdFactor for reuse."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[-1] != mat.dim and b.shape[0] != mat.dim:
-        raise DimensionMismatchError("right-hand side dimension mismatch")
     return SpdFactor(mat).solve(b)
 
 
@@ -231,79 +230,99 @@ class LanczosResult(NamedTuple):
     iterations: int
 
 
+def _tridiagonal_extremes(
+    alphas: np.ndarray, betas: np.ndarray, steps: np.ndarray
+) -> list[float]:
+    """Lowest and highest Ritz values over all recurrences.
+
+    Row c holds the tridiagonal of recurrence c, ``steps[c]`` entries long
+    with its last coupling still zero, so the rows are laid side by side.
+    Bisection solves the two end eigenvalues only, to full relative accuracy
+    (its default tolerance, eps times the norm, would lose small extremes).
+    """
+    valid = np.arange(alphas.shape[1]) < steps[:, None]
+    d, e = alphas[valid], betas[valid][:-1]
+    return [
+        scipy.linalg.eigvalsh_tridiagonal(
+            d, e, select="i", select_range=(i, i), tol=2.0 * np.finfo(np.float64).tiny
+        )[0]
+        for i in (0, d.size - 1)
+    ]
+
+
 def lanczos_extremal_eig(
     apply_a: Callable[[np.ndarray], np.ndarray],
     apply_b: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     iters: int,
-    ritz_tol: float = 1e-11,
 ) -> LanczosResult:
     """Extremal Ritz values of an operator self-adjoint in the B inner product.
 
-    Runs a B-orthogonal Lanczos recurrence with full reorthogonalization,
-    stopping early once both extremal Ritz values have stagnated to
-    ``ritz_tol`` (relative) over three consecutive steps.
+    A 1-d start vector runs one B-orthogonal Lanczos recurrence.  An (n, m)
+    start block runs m of them, one per column, all advancing on one
+    application of each operator per step: the operators then take and return
+    (n, m) blocks whose column c depends on column c of the input only.  The
+    result is the extremes over all columns.
+
+    Every recurrence is fully reorthogonalized.  The run stops once both
+    extremes have stagnated to 1e-11 (relative) over three consecutive steps,
+    or when every column has exhausted its Krylov space (breakdown);
+    ``iterations`` counts the steps of the longest recurrence.
     """
     if iters < 2:
         raise InputError("lanczos needs at least 2 iterations")
-    shape = x0.shape
-    q = x0.astype(np.float64).ravel()
+    shape = np.shape(x0)
+    n = shape[0]
+
+    def call(op, rows: np.ndarray) -> np.ndarray:  # op on one row per recurrence
+        return np.asarray(op(rows.T.reshape(shape)), dtype=np.float64).reshape(n, -1).T
+
     # operators may return their input array unchanged (identity weight),
     # so never modify operator outputs in place without copying first
-    bq = np.asarray(apply_b(q.reshape(shape)), dtype=np.float64).ravel()
-    nrm = np.sqrt(q @ bq)
-    if nrm == 0.0:
+    w = np.asarray(x0, dtype=np.float64).reshape(n, -1).T
+    bw = call(apply_b, w)
+    beta = np.sqrt(np.einsum("ij,ij->i", w, bw))[:, None]
+    if np.any(beta == 0.0):
         raise InputError("zero start vector")
-    # the B-orthonormal basis and its B-image, one row per Lanczos vector
-    # (np.empty commits memory only for the rows that get written)
-    qs = np.empty((iters + 1, q.size))
-    bqs = np.empty((iters + 1, q.size))
-    qs[0] = q / nrm
-    bqs[0] = bq / nrm
-    alphas: list[float] = []
-    betas: list[float] = []
-    lo_hist: list[float] = []
-    hi_hist: list[float] = []
-    breakdown = False
+    m = w.shape[0]
+    # the B-orthonormal bases and their B-images, (recurrence, step, entry)
+    # (np.empty commits memory only for the steps that get written)
+    qs = np.empty((m, iters + 1, n))
+    bqs = np.empty((m, iters + 1, n))
+    alphas = np.zeros((m, iters))
+    betas = np.zeros((m, iters))
+    steps = np.zeros(m, dtype=np.int64)
+    active = np.ones(m, dtype=bool)
+    hist = []  # (lowest, highest) Ritz value after each step
     for j in range(iters):
-        w = np.asarray(
-            apply_a(qs[j].reshape(shape)), dtype=np.float64
-        ).ravel().copy()
-        alphas.append(float(w @ bqs[j]))
+        qs[:, j] = w / beta
+        bqs[:, j] = bw / beta
+        w = call(apply_a, qs[:, j]).copy()
+        alpha = np.einsum("ij,ij->i", w, bqs[:, j])
         # full reorthogonalization against all B-orthonormal vectors so far,
-        # two classical Gram-Schmidt passes; the first subtracts the alpha
-        # and beta recurrence terms.  The B-image of w is recomputed
-        # afterwards: updating it incrementally loses all accuracy once the
-        # reorthogonalized w is orders of magnitude smaller than the original
-        # (B may be ill-conditioned).
+        # two classical Gram-Schmidt passes as stacked products; the first
+        # subtracts the alpha and beta recurrence terms.  The B-image of w is
+        # recomputed afterwards: updating it incrementally loses all accuracy
+        # once the reorthogonalized w is orders of magnitude smaller than the
+        # original (B may be ill-conditioned).
         for _ in range(2):
-            w -= (bqs[: j + 1] @ w) @ qs[: j + 1]
-        bw = np.asarray(apply_b(w.reshape(shape)), dtype=np.float64).ravel()
-        beta = float(np.sqrt(max(w @ bw, 0.0)))
-        if beta <= 1e-13 * max(1.0, abs(alphas[-1])):
-            breakdown = True
-        alphas_arr = np.array(alphas)
-        betas_arr = np.array(betas)
-        ritz = (
-            scipy.linalg.eigvalsh_tridiagonal(alphas_arr, betas_arr)
-            if len(alphas) > 1
-            else alphas_arr
-        )
-        lo_hist.append(float(ritz[0]))
-        hi_hist.append(float(ritz[-1]))
-        if breakdown:
+            coef = bqs[:, : j + 1] @ w[:, :, None]
+            w -= (coef.transpose(0, 2, 1) @ qs[:, : j + 1])[:, 0]
+        bw = call(apply_b, w)
+        beta = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, bw), 0.0))
+        alphas[active, j] = alpha[active]
+        steps[active] += 1
+        hist.append(_tridiagonal_extremes(alphas[:, : j + 1], betas[:, : j + 1], steps))
+        active &= beta > 1e-13 * np.maximum(1.0, np.abs(alpha))
+        if not active.any() or j == iters - 1:
             break
-        if len(lo_hist) >= 4:
-            ref = max(abs(lo_hist[-1]), abs(hi_hist[-1]), 1e-30)
-            if all(
-                abs(lo_hist[-1] - lo_hist[-1 - i]) <= ritz_tol * ref
-                and abs(hi_hist[-1] - hi_hist[-1 - i]) <= ritz_tol * ref
-                for i in (1, 2, 3)
-            ):
+        if len(hist) >= 4:
+            drift = np.abs(np.subtract(hist[-4:-1], hist[-1]))
+            if np.all(drift <= 1e-11 * max(np.abs(hist[-1]).max(), 1e-30)):
                 break
-        if j == iters - 1:
-            break
-        betas.append(beta)
-        qs[j + 1] = w / beta
-        bqs[j + 1] = bw / beta
-    return LanczosResult(lo_hist[-1], hi_hist[-1], breakdown, len(alphas))
+        betas[active, j] = beta[active]
+        # a column that broke down continues as zeros (dividing by inf) and
+        # records nothing more
+        beta = np.where(active, beta, np.inf)[:, None]
+    lo, hi = hist[-1]
+    return LanczosResult(float(lo), float(hi), not active.any(), int(steps.max()))

@@ -15,11 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import (
-    SpatialMatrix,
-    dense_generalized_eig_extremal,
-    DEFAULT_DENSE_EIG_LIMIT,
-)
+from .linalg import SpatialMatrix, dense_generalized_eig_extremal
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,6 @@ def compute_alpha(
     grid: TimeGrid,
     tau_ref: float,
     a_ref: SpatialMatrix,
-    dense_limit: int = DEFAULT_DENSE_EIG_LIMIT,
 ) -> float:
     """Smallest alpha with (1/alpha) tau*A <= tau_n*A_n <= alpha * tau*A.
 
@@ -230,9 +225,7 @@ def compute_alpha(
         if ref_scale is not None:
             lo = hi = scales / ref_scale
         else:
-            lo, hi = dense_generalized_eig_extremal(
-                base.todense(), a_ref.todense(), dense_limit
-            )
+            lo, hi = dense_generalized_eig_extremal(base.todense(), a_ref.todense())
             lo, hi = lo * scales, hi * scales
         taus = grid.steps[steps]
         lo, hi = lo * taus / tau_ref, hi * taus / tau_ref

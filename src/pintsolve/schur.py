@@ -141,7 +141,7 @@ class SchurPreconditioner:
         # 2 tau / N times lam / (tau (mu_k + lam)^2); tau cancels
         return v, (2.0 / self.N) * lam / denom**2
 
-    def _blend(self, x: np.ndarray) -> np.ndarray:
+    def blend(self, x: np.ndarray) -> np.ndarray:
         """Column k of x times H_k, for a (dim, N) block x."""
         return self.mass.dot(x) * self.mu + self._tau_a.dot(x)
 
@@ -210,8 +210,8 @@ class SchurPreconditioner:
         uhat = self.plan.forward(u)
         if self._a_factor is None:
             self._a_factor = SpdFactor(self.a_ref)
-        y = self._a_factor.solve(self._blend(uhat.T))
-        out = (self.N / (2.0 * self.tau_ref)) * self._blend(y)
+        y = self._a_factor.solve(self.blend(uhat.T))
+        out = (self.N / (2.0 * self.tau_ref)) * self.blend(y)
         return self.plan.forward_transpose(out.T)
 
 
@@ -219,18 +219,15 @@ def build_schur_preconditioner(
     spec: ProblemSpec,
     solver_kind: str = "direct",
     vcycles: int = 1,
-    smooth_steps: int = 1,
-    jacobi_sweeps: int = 2,
 ) -> SchurPreconditioner:
-    """Convenience builder tying solver options to the problem's mesh."""
+    """Convenience builder tying solver options to the problem's mesh; the
+    jacobi kind makes two sweeps."""
     if solver_kind == "mg":
         meta = spec.meta
         if "space" not in meta:
             raise InputError("mg solvers need mesh metadata on the problem")
         hierarchy = build_mg_hierarchy(meta["space"], meta["mesh"])
-        return SchurPreconditioner(
-            spec, "mg", hierarchy=hierarchy, cycles=vcycles, smooth_steps=smooth_steps
-        )
+        return SchurPreconditioner(spec, "mg", hierarchy=hierarchy, cycles=vcycles)
     if solver_kind == "jacobi":
-        return SchurPreconditioner(spec, "jacobi", sweeps=jacobi_sweeps)
+        return SchurPreconditioner(spec, "jacobi", sweeps=2)
     return SchurPreconditioner(spec, solver_kind)

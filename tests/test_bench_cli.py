@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pintsolve
 import pintsolve.bench as bench
 from pintsolve.cli import main
+from pintsolve.spatial import materialize_inverse
+
+import conftest as oracle
 
 
 class TestBenchDrivers:
@@ -64,6 +68,43 @@ class TestBenchDrivers:
         assert row["bound_lo"] == pytest.approx(0.5)
         assert row["bound_hi"] == pytest.approx(3.0)
         assert row["bound_lo"] <= row["lam_lo"] <= row["lam_hi"] <= row["bound_hi"]
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    @pytest.mark.parametrize("space,cells,N", [("2d", 8, 16), ("1d", 16, 12)])
+    def test_spectral_check_gamma_matches_dense_modes(self, space, cells, N, kind):
+        rows = bench.run_spectral_check(N=N, cells=cells, space=space,
+                                        solver_kind=kind)
+        # per-mode solver quality by dense eigensolves, as criterion 5b
+        grid = pintsolve.build_time_grid("uniform", N, 1.0)
+        spec = pintsolve.make_heat_problem(space, cells, grid, data="zero")
+        ht = pintsolve.build_schur_preconditioner(spec, kind)
+        a = spec.a_ref.todense()
+        gamma, big_gamma = 1.0, 1.0
+        for k in range(N):
+            hd = ht.blocks[k].todense()
+            exact = hd @ np.linalg.solve(a, hd)
+            inv = materialize_inverse(ht.solvers[k], spec.dim)
+            approx = inv @ a @ inv
+            w = scipy.linalg.eigh(exact, np.linalg.inv(0.5 * (approx + approx.T)),
+                                  eigvals_only=True)
+            gamma, big_gamma = min(gamma, w[0]), max(big_gamma, w[-1])
+        assert rows[0]["pass"] == 1
+        assert rows[0]["gamma"] == pytest.approx(gamma, rel=1e-6)
+        assert rows[0]["Gamma"] == pytest.approx(big_gamma, rel=1e-6)
+
+    @pytest.mark.parametrize("cells", [8, 16])
+    def test_table1_matches_dense_pencil(self, cells):
+        n_list = [4, 8, 16]
+        rows = bench.run_table1([cells], n_list)
+        for N, row in zip(n_list, rows):
+            grid = pintsolve.build_time_grid("uniform", N, 1.0)
+            spec = pintsolve.make_heat_problem("1d", cells, grid, data="zero")
+            w = scipy.linalg.eigh(oracle.dense_schur(spec),
+                                  oracle.dense_preconditioner(spec),
+                                  eigvals_only=True)
+            assert row["N"] == N
+            assert row["lambda_min"] == pytest.approx(w[0], abs=1e-10)
+            assert row["lambda_max"] == pytest.approx(w[-1], abs=1e-10)
 
     def test_scaling_reports_shares(self):
         rows = bench.run_scaling([1], N=16, cells=8, iters=2, repeats=1)

@@ -140,10 +140,20 @@ class TestSpdFactor:
     def test_multi_rhs(self):
         rng = np.random.default_rng(6)
         m = spd_matrix(rng, 7)
-        b = rng.standard_normal((4, 7))
+        b = rng.standard_normal((7, 4))
         got = ps.SpdFactor(m).solve(b)
-        assert got.shape == (4, 7)
-        assert np.allclose(got, np.linalg.solve(m.todense(), b.T).T)
+        assert got.shape == (7, 4)
+        assert np.allclose(got, np.linalg.solve(m.todense(), b))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (3, 3, 1)])
+    def test_rejects_rows_and_wrong_lengths(self, shape):
+        # right-hand sides are columns only: a (2, 3) block against a 3x3
+        # factor is not two row right-hand sides
+        m = spd_matrix(np.random.default_rng(13), 3)
+        with pytest.raises(DimensionMismatchError):
+            ps.SpdFactor(m).solve(np.ones(shape))
+        with pytest.raises(DimensionMismatchError):
+            ps.cholesky_solve(m, np.ones(shape))
 
     def test_rejects_indefinite(self):
         m = ps.SpatialMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
@@ -235,3 +245,54 @@ class TestLanczos:
         )
         assert res.breakdown
         assert res.lam_min == pytest.approx(1.0)
+
+    def test_block_start_matches_dense_union(self):
+        # one recurrence per column, each column its own pencil; the result
+        # is the extremes over every pencil
+        rng = np.random.default_rng(14)
+        dim, m = 30, 4
+        a = [spd_matrix(rng, dim).todense() for _ in range(m)]
+        b = [spd_matrix(rng, dim).todense() for _ in range(m)]
+        binv = [np.linalg.inv(bc) for bc in b]
+        ref = np.concatenate([scipy.linalg.eigh(ac, bc, eigvals_only=True)
+                              for ac, bc in zip(a, b)])
+
+        def per_column(mats):
+            return lambda x: np.column_stack([mc @ x[:, c] for c, mc in enumerate(mats)])
+
+        res = ps.lanczos_extremal_eig(
+            per_column([bi @ ac for bi, ac in zip(binv, a)]), per_column(b),
+            rng.standard_normal((dim, m)), iters=60,
+        )
+        assert res.lam_min == pytest.approx(ref.min(), abs=1e-9)
+        assert res.lam_max == pytest.approx(ref.max(), abs=1e-9)
+
+    def test_single_column_block_matches_vector_start(self):
+        rng = np.random.default_rng(15)
+        a = spd_matrix(rng, 20).todense()
+        x0 = rng.standard_normal(20)
+        vec = ps.lanczos_extremal_eig(lambda x: a @ x, lambda x: x, x0, iters=30)
+        blk = ps.lanczos_extremal_eig(lambda x: a @ x, lambda x: x, x0[:, None],
+                                      iters=30)
+        assert blk.iterations == vec.iterations
+        assert blk.lam_min == pytest.approx(vec.lam_min, rel=1e-13)
+        assert blk.lam_max == pytest.approx(vec.lam_max, rel=1e-13)
+
+    def test_columns_break_down_at_different_steps(self):
+        # column 0 spans two eigenvectors, column 1 four: the first stops
+        # recording after two steps, the run ends with the second
+        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        x0 = np.zeros((6, 2))
+        x0[[1, 2], 0] = 1.0
+        x0[[0, 2, 3, 4], 1] = 1.0
+        res = ps.lanczos_extremal_eig(lambda x: a @ x, lambda x: x, x0, iters=10)
+        assert res.breakdown
+        assert res.iterations == 4
+        assert res.lam_min == pytest.approx(1.0, abs=1e-12)
+        assert res.lam_max == pytest.approx(5.0, abs=1e-12)
+
+    def test_zero_column_rejected(self):
+        x0 = np.ones((4, 2))
+        x0[:, 1] = 0.0
+        with pytest.raises(InputError):
+            ps.lanczos_extremal_eig(lambda x: x, lambda x: x, x0, iters=5)

@@ -114,7 +114,8 @@ class TestPreconditionerQualityEstimates:
         mass, stiff = problem_matrices("1d", 16)
         h_k = ps.add_matrices(0.3, mass, 0.1, stiff)
         solver = ps.make_solver(h_k, "direct")
-        lo, hi = ps.estimate_gamma_Gamma(h_k, solver, stiff)
+        x0 = np.random.default_rng(0).standard_normal(h_k.dim)
+        lo, hi = ps.estimate_gamma_Gamma(h_k.dot, solver, stiff, x0)
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
@@ -133,6 +134,7 @@ class TestPreconditionerQualityEstimates:
         # pencil of the exact sandwich against the inverse of the approximate
         w = scipy.linalg.eigh(exact, np.linalg.inv(0.5 * (approx + approx.T)),
                               eigvals_only=True)
-        lo, hi = ps.estimate_gamma_Gamma(h_k, solver, stiff, iters=100)
+        x0 = np.random.default_rng(0).standard_normal(h_k.dim)
+        lo, hi = ps.estimate_gamma_Gamma(h_k.dot, solver, stiff, x0, iters=100)
         assert lo == pytest.approx(w[0], rel=1e-6)
         assert hi == pytest.approx(w[-1], rel=1e-6)
