@@ -28,11 +28,11 @@ HISTORY_CSV_HEADER = "iter,solver,s_norm_error,residual"
 SPECTRAL_CSV_HEADER = "alpha,gamma,Gamma,lam_lo,lam_hi,bound_lo,bound_hi,pass"
 SCALING_CSV_HEADER = "threads,time_per_iter,total_time,fft_share,spatial_share"
 
-# run_spectral_check solves the preconditioned Schur pencil densely only up to
-# this many unknowns (N * dim), and by Lanczos above it (a dense solve at the
-# module-wide limit would take hours on one core).  The criterion-1 test
-# reads it to choose the tolerance of each Table 1 cell.
-TABLE1_DENSE_LIMIT = 2500
+# run_spectral_check solves the preconditioned Schur pencil of the inexact
+# kinds densely only up to this many unknowns (N * dim), and by one Lanczos
+# recurrence on the whole pencil above it (a dense solve at the module-wide
+# limit would take hours on one core).
+SPECTRAL_DENSE_LIMIT = 2500
 
 
 def _fmt(x) -> str:
@@ -51,7 +51,8 @@ def rows_to_csv(header: str, rows: list[dict]) -> str:
 
 def _schur_spectrum(spec: ProblemSpec, seed: int) -> tuple[float, float]:
     """Extremal eigenvalues of the Schur complement preconditioned by the
-    transform-diagonalized surrogate (exact spatial solves).
+    transform-diagonalized surrogate (exact spatial solves), for a problem
+    whose step operators are all multiples of A_ref.
 
     With A_ref V = M V diag(lam) and V' M V = I, S and H~ both split into one
     N x N pencil per spatial mode: one Lanczos recurrence runs on each column
@@ -204,35 +205,38 @@ def run_spectral_check(
     """
     grid = build_time_grid("uniform", N, T)
     spec = make_heat_problem(space, cells, grid, data="zero")
-    system = TimeGlobalSystem(spec, diagnostic=True)
     alpha = spec.alpha
     dim = spec.dim
 
-    ht = build_schur_preconditioner(spec, solver_kind, vcycles=vcycles)
-    gamma = big_gamma = 1.0
-    if solver_kind != "direct":
+    if solver_kind == "direct":
+        # the direct Htilde is exactly diagonal in the A_ref eigenbasis, as
+        # for Table 1: one recurrence per spatial mode
+        lo, hi = _schur_spectrum(spec, seed)
+        gamma = big_gamma = 1.0
+    else:
+        ht = build_schur_preconditioner(spec, solver_kind, vcycles=vcycles)
         # one recurrence per frequency mode, all on the (dim, N) family
         x0 = np.random.default_rng(seed).standard_normal((dim, N))
         g, bg = estimate_gamma_Gamma(ht.blend, ht.batched, spec.a_ref, x0)
         gamma, big_gamma = min(1.0, g), max(1.0, bg)
-
-    if N * dim <= TABLE1_DENSE_LIMIT:
-        s_mat = dense_operator(system.apply_S, N, dim)
-        h_mat = dense_operator(ht.apply_inverse, N, dim)
-        # eigenvalues of Htilde^{-1} S = eigenvalues of the pencil (S, Htilde)
-        lo, hi = dense_generalized_eig_extremal(
-            s_mat, np.linalg.inv(0.5 * (h_mat + h_mat.T))
-        )
-    else:
-        res = lanczos_extremal_eig(
-            lambda v: ht.apply_inverse(system.apply_S(v.reshape(N, dim))).ravel(),
-            lambda v: system.apply_S(v.reshape(N, dim)).ravel(),
-            np.random.default_rng(seed).standard_normal(N * dim),
-            iters=200,
-        )
-        # with weight S instead of Htilde the Ritz values are still those of
-        # the pencil (S, Htilde): Htilde^{-1} S is self-adjoint in both
-        lo, hi = res.lam_min, res.lam_max
+        system = TimeGlobalSystem(spec, diagnostic=True)
+        if N * dim <= SPECTRAL_DENSE_LIMIT:
+            s_mat = dense_operator(system.apply_S, N, dim)
+            h_mat = dense_operator(ht.apply_inverse, N, dim)
+            # eigenvalues of Htilde^{-1} S = eigenvalues of the pencil (S, Htilde)
+            lo, hi = dense_generalized_eig_extremal(
+                s_mat, np.linalg.inv(0.5 * (h_mat + h_mat.T))
+            )
+        else:
+            res = lanczos_extremal_eig(
+                lambda v: ht.apply_inverse(system.apply_S(v.reshape(N, dim))).ravel(),
+                lambda v: system.apply_S(v.reshape(N, dim)).ravel(),
+                np.random.default_rng(seed).standard_normal(N * dim),
+                iters=200,
+            )
+            # with weight S instead of Htilde the Ritz values are still those
+            # of the pencil (S, Htilde): Htilde^{-1} S is self-adjoint in both
+            lo, hi = res.lam_min, res.lam_max
 
     bound_lo = gamma / (2.0 * alpha)
     bound_hi = 3.0 * alpha * big_gamma

@@ -285,29 +285,31 @@ def lanczos_extremal_eig(
     if np.any(beta == 0.0):
         raise InputError("zero start vector")
     m = w.shape[0]
-    # the B-orthonormal bases and their B-images, (recurrence, step, entry)
-    # (np.empty commits memory only for the steps that get written)
-    qs = np.empty((m, iters + 1, n))
-    bqs = np.empty((m, iters + 1, n))
+    # the B-orthonormal bases and their B-images, (step, recurrence, entry):
+    # each step is one contiguous slab, so np.empty commits memory only for
+    # the steps that get written, also when numpy backs it with huge pages
+    qs = np.empty((iters + 1, m, n))
+    bqs = np.empty((iters + 1, m, n))
     alphas = np.zeros((m, iters))
     betas = np.zeros((m, iters))
     steps = np.zeros(m, dtype=np.int64)
     active = np.ones(m, dtype=bool)
     hist = []  # (lowest, highest) Ritz value after each step
     for j in range(iters):
-        qs[:, j] = w / beta
-        bqs[:, j] = bw / beta
-        w = call(apply_a, qs[:, j]).copy()
-        alpha = np.einsum("ij,ij->i", w, bqs[:, j])
+        qs[j] = w / beta
+        bqs[j] = bw / beta
+        w = call(apply_a, qs[j]).copy()
+        alpha = np.einsum("ij,ij->i", w, bqs[j])
         # full reorthogonalization against all B-orthonormal vectors so far,
         # two classical Gram-Schmidt passes as stacked products; the first
         # subtracts the alpha and beta recurrence terms.  The B-image of w is
         # recomputed afterwards: updating it incrementally loses all accuracy
         # once the reorthogonalized w is orders of magnitude smaller than the
         # original (B may be ill-conditioned).
+        q, bq = qs[: j + 1].transpose(1, 0, 2), bqs[: j + 1].transpose(1, 0, 2)
         for _ in range(2):
-            coef = bqs[:, : j + 1] @ w[:, :, None]
-            w -= (coef.transpose(0, 2, 1) @ qs[:, : j + 1])[:, 0]
+            coef = bq @ w[:, :, None]
+            w -= (coef.transpose(0, 2, 1) @ q)[:, 0]
         bw = call(apply_b, w)
         beta = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, bw), 0.0))
         alphas[active, j] = alpha[active]

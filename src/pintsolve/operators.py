@@ -58,6 +58,7 @@ class BlockDiagSolver:
     def __init__(self, spec: ProblemSpec, kind: str = "direct",
                  hierarchy: MgHierarchy | None = None, **opts):
         self.kind = kind
+        self._step_groups = spec.step_groups
         # (solver of the base, steps using it, tau_n * scale_n for those steps)
         self._groups: list[tuple[SpatialSolver, np.ndarray | slice, np.ndarray]] = [
             (make_solver(base, kind, hierarchy=hierarchy, **opts),
@@ -66,9 +67,30 @@ class BlockDiagSolver:
         ]
         self.spatial_seconds = 0.0
 
-    def apply_inverse(self, b: np.ndarray) -> np.ndarray:
+    def inverts(self, system: "TimeGlobalSystem") -> bool:
+        """True when this solver is the exact inverse of system's A_bd: the
+        direct kind, built on the very step groups of system's problem."""
+        return self.kind == "direct" and self._step_groups is system.spec.step_groups
+
+    def apply_inverse(self, b: np.ndarray,
+                      weights: np.ndarray | None = None) -> np.ndarray:
         """Solve every step, in column blocks of at most the solver's
-        ``block_columns`` steps, spread over the threads."""
+        ``block_columns`` steps, spread over the threads.
+
+        With ``weights``, b is a Fortran-order block held in a spatial basis
+        in which A_bd multiplies by these (N, dim) weights: the solve is
+        b / weights, spread over the threads by spatial mode.
+        """
+        if weights is not None:
+            out = np.empty(b.shape, order="F")
+
+            def modes(cols: slice) -> None:
+                np.divide(b[:, cols], weights[:, cols], out=out[:, cols])
+
+            start = time.perf_counter()
+            parallel.chunk_map(modes, b.shape[1])
+            self.spatial_seconds += time.perf_counter() - start
+            return out
         bt = np.asarray(b, dtype=np.float64).T
         out = np.empty(bt.shape).T
         # steps is slice(None) when one group holds every step: its column

@@ -69,7 +69,9 @@ class SchurPreconditioner:
     mu_k M + tau A and apply it to all modes at once, as a (dim, N) block.
     ``blocks[k]`` and ``solvers[k]`` give the per-mode operators and solvers;
     unless the direct kind factorized each mode they are built on access, the
-    inexact solvers as column views of the batched one.
+    inexact solvers as column views of the batched one.  With the
+    eigenbasis, ``apply_inverse`` also applies the same inverse to blocks
+    held as coefficients in that basis.
 
     ``fft_seconds`` and ``spatial_seconds`` accumulate the wall time that
     ``apply_inverse`` spends in its two DSTs and in its mode stage, read on
@@ -93,13 +95,19 @@ class SchurPreconditioner:
         self.solver_kind = solver_kind
         self._tau_a = spec.a_ref.scaled(spec.tau_ref)
         self._direct: list[SpatialSolver] | None = None
-        # (V, D): the direct kind's basis and per-mode spectral weights, with
-        # row k of D the diagonal of V^-1 (2 tau / N) H_k^-1 A H_k^-1 V^-T
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        # (V, lam, D): the direct kind's basis and eigenvalues, and its
+        # per-mode spectral weights, with row k of D the diagonal of
+        # V^-1 (2 tau / N) H_k^-1 A H_k^-1 V^-T
+        self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # D in Fortran order, the layout of the DST output it multiplies in
+        # the eigenbasis (with a C-order D that product measured 8x slower
+        # at N = 1024, dim = 127)
+        self._d_fortran: np.ndarray | None = None
         # the one solver of the whole family (inexact kinds only)
         self.batched: SpatialSolver | None = None
         if solver_kind == "direct" and self.dim <= EIG_DIM_LIMIT:
             self._eig = self._diagonalize()
+            self._d_fortran = np.asfortranarray(self._eig[2])
         elif solver_kind == "direct":
             self._direct = [make_solver(h_k, "direct") for h_k in self.blocks]
         else:
@@ -127,7 +135,7 @@ class SchurPreconditioner:
             return _Views(self.N, lambda k: make_solver(self.blocks[k], "direct"))
         return _Views(self.N, lambda k: self.batched.columns(slice(k, k + 1)))
 
-    def _diagonalize(self) -> tuple[np.ndarray, np.ndarray]:
+    def _diagonalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         try:
             lam, v = scipy.linalg.eigh(
                 self._tau_a.todense(), self.mass.todense(),
@@ -139,7 +147,18 @@ class SchurPreconditioner:
         if np.any(denom <= 0.0):
             raise NotSpdError("frequency-mode blend is not SPD")
         # 2 tau / N times lam / (tau (mu_k + lam)^2); tau cancels
-        return v, (2.0 / self.N) * lam / denom**2
+        return v, lam, (2.0 / self.N) * lam / denom**2
+
+    def eigenbasis(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray] | None:
+        """(V, lam) with tau_ref A_ref V = M V diag(lam) and V' M V = I, when
+        this preconditioner holds the eigenbasis of spec's own pencil (the
+        same M and A_ref objects, the same tau_ref and N); else None."""
+        if (self._eig is None or self.mass is not spec.mass
+                or self.a_ref is not spec.a_ref or self.tau_ref != spec.tau_ref
+                or self.N != spec.N):
+            return None
+        v, lam, _ = self._eig
+        return v, lam
 
     def blend(self, x: np.ndarray) -> np.ndarray:
         """Column k of x times H_k, for a (dim, N) block x."""
@@ -153,18 +172,33 @@ class SchurPreconditioner:
             )
         return r
 
-    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Approximate Schur-complement inverse: one preconditioner action."""
+    def apply_inverse(self, r: np.ndarray, eigenbasis: bool = False) -> np.ndarray:
+        """Approximate Schur-complement inverse: one preconditioner action.
+
+        With ``eigenbasis`` (direct kind with an eigenbasis only), r holds
+        the coefficients r V of a residual and the result is the
+        coefficients y_hat of y = y_hat V'.  The mode stage is diagonal in
+        space there: one product with D between the two DSTs.
+        """
         r = self._check(r)
+        stage = self._solve_modes
+        if eigenbasis:
+            if self._d_fortran is None:
+                raise InputError("no eigenbasis: direct kind with dim <= EIG_DIM_LIMIT only")
+            stage = self._scale_modes
         t0 = time.perf_counter()
         rhat = self.plan.inverse_transpose(r)
         t1 = time.perf_counter()
-        out = self._solve_modes(rhat)
+        out = stage(rhat)
         t2 = time.perf_counter()
         u = self.plan.inverse(out)
         self.fft_seconds += (t1 - t0) + (time.perf_counter() - t2)
         self.spatial_seconds += t2 - t1
         return u
+
+    def _scale_modes(self, rhat: np.ndarray) -> np.ndarray:
+        """The mode stage in the eigenbasis: rhat times D, in place."""
+        return np.multiply(rhat, self._d_fortran, out=rhat)
 
     def _solve_modes(self, rhat: np.ndarray) -> np.ndarray:
         """(2 tau / N) H_k^-1 A_ref H_k^-1 on mode k (row k) of rhat.
@@ -175,7 +209,7 @@ class SchurPreconditioner:
         if self._eig is not None:
             # one product per side on the whole block; chunking the columns
             # would not be bit-identical across thread counts
-            v, d = self._eig
+            v, _, d = self._eig
             return ((rhat @ v) * d) @ v.T
         scale = 2.0 * self.tau_ref / self.N
         if self.batched is None:

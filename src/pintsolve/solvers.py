@@ -4,6 +4,7 @@ sequential implicit-Euler oracle."""
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,63 @@ def _clocks(atilde: BlockDiagSolver, htilde: SchurPreconditioner) -> tuple[float
     return htilde.fft_seconds, atilde.spatial_seconds + htilde.spatial_seconds
 
 
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+@dataclass(frozen=True)
+class _OperatorSet:
+    """What one Uzawa iteration applies, all in one basis: the right-hand
+    side, the mass and block-diagonal operators and the two preconditioner
+    inverses.  to_basis maps a nodal iterate into the basis and from_basis
+    maps it back."""
+
+    rhs: np.ndarray
+    mass: Callable[[np.ndarray], np.ndarray]
+    abd: Callable[[np.ndarray], np.ndarray]
+    atilde: Callable[[np.ndarray], np.ndarray]
+    htilde: Callable[[np.ndarray], np.ndarray]
+    to_basis: Callable[[np.ndarray], np.ndarray] = _identity
+    from_basis: Callable[[np.ndarray], np.ndarray] = _identity
+
+
+def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
+               htilde: SchurPreconditioner) -> _OperatorSet | None:
+    """The operators in the eigenbasis V of (tau_ref A_ref, M), or None
+    unless every one of them is diagonal in space there.
+
+    That holds when atilde is the exact A_bd^-1, htilde holds this pencil's
+    eigenbasis, and every step operator is a multiple of A_ref: one step
+    group, A_n = s_n base, with A_ref = s_ref base.  Then M is the identity,
+    tau_n A_n is the (N, dim) weight w_nj = tau_n s_n / (tau_ref s_ref) lam_j,
+    and a block x = x_hat V' has coefficients x_hat = x M V (primal: p, u)
+    or x V (dual: f and the residuals).
+    """
+    spec = system.spec
+    basis = htilde.eigenbasis(spec)
+    if basis is None or len(spec.step_groups) != 1 or not atilde.inverts(system):
+        return None
+    ((base, _, scales),) = spec.step_groups
+    s_ref = spec.a_ref.proportionality(base)
+    if s_ref is None:
+        return None
+    v, lam = basis
+    w = np.asfortranarray(
+        np.outer(spec.grid.steps * scales / (spec.tau_ref * s_ref), lam))
+    mvt = spec.mass.dot(v).T
+    # each map is one product on the (dim, N) view of a Fortran-order block,
+    # and returns a Fortran-order block
+    return _OperatorSet(
+        rhs=(v.T @ system.rhs.T).T,
+        mass=_identity,
+        abd=lambda x: w * x,
+        atilde=lambda r: atilde.apply_inverse(r, weights=w),
+        htilde=lambda r: htilde.apply_inverse(r, eigenbasis=True),
+        to_basis=lambda x: (mvt @ x.T).T,
+        from_basis=lambda x: (v @ x.T).T,
+    )
+
+
 def uzawa_solve(
     system: TimeGlobalSystem,
     atilde: BlockDiagSolver,
@@ -167,12 +225,17 @@ def uzawa_solve(
     The default stopping rule uses the preconditioned residual of the saddle
     system, evaluated with the auxiliary residual at the old iterate and the
     principal residual after the auxiliary update (both quadratic forms are
-    by-products of the updates, so the rule costs no extra solves).  Each
-    iteration makes two mass products (M u, M p) and two of A_bd (p, u).
-    The iterates are Fortran-order (N, dim) blocks.
+    by-products of the updates, so the rule costs no extra solves).
+
+    Without diagnostics, and when both block solves are exact in the
+    eigenbasis of htilde (see ``_modal_set``), the iteration runs on the
+    basis coefficients: each iteration is then elementwise products and
+    the two DSTs of htilde, with no spatial product or solve.  Otherwise it
+    runs on nodal values and each iteration makes two mass products (M u,
+    M p) and two of A_bd (p, u).  Both give the same iterates up to
+    rounding.  The iterates are Fortran-order (N, dim) blocks.
     """
     spec = system.spec
-    f = system.rhs
     hist = ConvergenceHistory()
     if initial is not None:
         p, u = initial[0].copy(order="F"), initial[1].copy(order="F")
@@ -189,28 +252,35 @@ def uzawa_solve(
         u_star = u_oracle
         system.build_exact_solvers()
         s_norm_ref = system.s_norm(u_star)
+    ops = None if diagnostics else _modal_set(system, atilde, htilde)
+    if ops is None:  # nodal values
+        ops = _OperatorSet(system.rhs, system.apply_M, system.apply_Abd,
+                           atilde.apply_inverse, htilde.apply_inverse)
     record_d = diagnostics and atilde.kind == "direct" and htilde.solver_kind == "direct"
 
+    f = ops.rhs
     ref = np.sqrt(
-        max(np.sum(f * atilde.apply_inverse(f)) + np.sum(f * htilde.apply_inverse(f)), 0.0)
+        max(np.sum(f * ops.atilde(f)) + np.sum(f * ops.htilde(f)), 0.0)
     )
     if ref == 0.0:
         hist.converged = True
         return (p, u), hist
+    if initial is not None:
+        p, u = ops.to_basis(p), ops.to_basis(u)
 
     fft0, spatial0 = _clocks(atilde, htilde)
     t0 = time.perf_counter()
     first_res = None
     for _ in range(cfg.max_iter):
         # K u, K' u and K' p are differences of M u and M p along time
-        mu = system.apply_M(u)
+        mu = ops.mass(u)
         ku = time_difference(mu)
-        r1 = ku - system.apply_Abd(p) - f
-        dp = atilde.apply_inverse(r1)
+        r1 = ku - ops.abd(p) - f
+        dp = ops.atilde(r1)
         p = p + dp
-        z = f - time_difference_t(system.apply_M(p)) - (
-            ku + time_difference_t(mu) + system.apply_Abd(u))
-        y = htilde.apply_inverse(z)
+        z = f - time_difference_t(ops.mass(p)) - (
+            ku + time_difference_t(mu) + ops.abd(u))
+        y = ops.htilde(z)
         u = u + cfg.omega * y
 
         res = float(np.sqrt(max(np.sum(r1 * dp) + np.sum(z * y), 0.0))) / ref
@@ -242,7 +312,7 @@ def uzawa_solve(
         if cfg.stopping == "s_norm_error" and s_err is not None and s_err < cfg.tol:
             hist.converged = True
             break
-    return (p, u), hist
+    return (ops.from_basis(p), ops.from_basis(u)), hist
 
 
 def _preconditioned_norm(r: np.ndarray, z: np.ndarray) -> float:

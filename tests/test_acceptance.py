@@ -64,12 +64,10 @@ class TestEigenvalueTable:
         for row in rows:
             cells = int(row["h"].split("/")[1])
             i = TABLE1_N.index(row["N"])
-            dense = row["N"] * (cells - 1) <= bench.TABLE1_DENSE_LIMIT
-            tol = 1e-3 if dense else 2e-3
             for key in ("lambda_min", "lambda_max", "kappa"):
                 err = abs(row[key] - TABLE1_REF[cells][key][i])
                 worst = max(worst, err)
-                if err > tol:
+                if err > 1e-3:
                     ok = False
         ok = ok and elapsed < 600.0
         report("1-eigenvalue-table", ok,

@@ -69,6 +69,19 @@ class TestBenchDrivers:
         assert row["bound_hi"] == pytest.approx(3.0)
         assert row["bound_lo"] <= row["lam_lo"] <= row["lam_hi"] <= row["bound_hi"]
 
+    @pytest.mark.parametrize("space,cells,N", [("1d", 8, 16), ("2d", 4, 24)])
+    def test_spectral_check_direct_matches_dense_pencil(self, space, cells, N):
+        row = bench.run_spectral_check(N=N, cells=cells, space=space,
+                                       solver_kind="direct")[0]
+        grid = pintsolve.build_time_grid("uniform", N, 1.0)
+        spec = pintsolve.make_heat_problem(space, cells, grid, data="zero")
+        w = scipy.linalg.eigh(oracle.dense_schur(spec),
+                              oracle.dense_preconditioner(spec),
+                              eigvals_only=True)
+        assert row["pass"] == 1
+        assert row["lam_lo"] == pytest.approx(w[0], abs=1e-10)
+        assert row["lam_hi"] == pytest.approx(w[-1], abs=1e-10)
+
     @pytest.mark.parametrize("kind", ["mg", "jacobi"])
     @pytest.mark.parametrize("space,cells,N", [("2d", 8, 16), ("1d", 16, 12)])
     def test_spectral_check_gamma_matches_dense_modes(self, space, cells, N, kind):

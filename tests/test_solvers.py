@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import pintsolve as ps
 from pintsolve.errors import InputError, NotSpdError, SolverDivergenceError
@@ -310,8 +311,8 @@ class TestHistoryClocks:
             return solve(self, b)
 
         monkeypatch.setattr(ps.SpdFactor, "solve", slow_solve)
-        grid = ps.build_time_grid("uniform", 16, 1.0)
-        spec = ps.make_heat_problem("1d", 16, grid, data="sine")
+        # three step groups keep the block solves on nodal values, in the pool
+        spec = oracle.per_step_spec()
         try:
             ps.set_num_threads(2)
             system, at, ht = setup(spec)
@@ -446,8 +447,9 @@ class TestColumnBlocks:
 
 
 class TestProductCounts:
-    """One Uzawa iteration makes two mass products and two products per
-    step group: K u, K' u and K' p are differences of M u and M p."""
+    """On nodal values one Uzawa iteration makes two mass products and two
+    products per step group: K u, K' u and K' p are differences of M u and
+    M p.  In the eigenbasis (direct kind, one step group) it makes none."""
 
     class Counting(ps.SpatialMatrix):
         calls = 0
@@ -461,9 +463,12 @@ class TestProductCounts:
         grid = ps.build_time_grid("uniform", 8, 1.0)
         return ps.make_heat_problem("1d", 8, grid, data="sine")
 
-    @pytest.mark.parametrize("make_spec", [sine_spec, oracle.per_step_spec],
-                             ids=["one-group", "three-groups"])
-    def test_products_per_uzawa_iteration(self, make_spec):
+    @pytest.mark.parametrize("make_spec,solver,expected", [
+        (sine_spec, "direct", 0),
+        (sine_spec, "mg", 2),
+        (oracle.per_step_spec, "direct", 2),
+    ], ids=["one-group", "one-group-mg", "three-groups"])
+    def test_products_per_uzawa_iteration(self, make_spec, solver, expected):
         spec = make_spec()
         counted = {}
 
@@ -472,20 +477,162 @@ class TestProductCounts:
                 counted[m] = self.Counting.from_sparse(m.tocsr())
             return counted[m]
 
+        def counted_copy(a):
+            # a plain matrix (its own products are not counted) that is a
+            # multiple of a counted base
+            base, scale = a.as_scaled()
+            return counting(base).scaled(scale)
+
         mass = counting(spec.mass)
-        stiffness = []
-        for a_n in spec.stiffness:
-            base, scale = a_n.as_scaled()
-            stiffness.append(counting(base).scaled(scale))
-        spec = dataclasses.replace(spec, mass=mass, stiffness=stiffness)
+        stiffness = [counted_copy(a_n) for a_n in spec.stiffness]
+        spec = dataclasses.replace(spec, mass=mass, stiffness=stiffness,
+                                   a_ref=counted_copy(spec.a_ref))
         bases = [base for base, _, _ in spec.step_groups]
         assert len(bases) == len(counted) - 1
         assert all(isinstance(base, self.Counting) for base in bases)
-        system, at, ht = setup(spec)
+        system, at, ht = setup(spec, solver)
         calls = []
         for max_iter in (1, 2):
             before = [m.calls for m in (mass, *bases)]
             ps.uzawa_solve(system, at, ht, ps.UzawaConfig(max_iter=max_iter))
             calls.append([m.calls - b for m, b in zip((mass, *bases), before)])
         per_iteration = np.subtract(calls[1], calls[0])
-        assert per_iteration.tolist() == [2] * (1 + len(bases))
+        assert per_iteration.tolist() == [expected] * (1 + len(bases))
+
+
+def modal_calls(ht):
+    """Count the eigenbasis applications of ht from here on."""
+    calls = []
+    apply_inverse = ht.apply_inverse
+
+    def counted(r, eigenbasis=False):
+        if eigenbasis:
+            calls.append(1)
+        return apply_inverse(r, eigenbasis=eigenbasis)
+
+    ht.apply_inverse = counted
+    return calls
+
+
+def relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestEigenbasisPath:
+    """Without diagnostics, direct block solves on a problem with one step
+    group run the Uzawa loop in the eigenbasis of (tau_ref A_ref, M); the
+    diagnostics run stays on nodal values.  Both give the same iterates up
+    to rounding; every other set-up stays nodal."""
+
+    @staticmethod
+    def both(spec, initial=None):
+        """(modal run, nodal run, number of modal applications)."""
+        system, at, ht = setup(spec)
+        calls = modal_calls(ht)
+        cfg = ps.UzawaConfig(omega=ps.safe_damping(spec.alpha), tol=1e-12,
+                             max_iter=800)
+        modal = ps.uzawa_solve(system, at, ht, cfg, initial=initial)
+        taken = len(calls)
+        nodal = ps.uzawa_solve(system, at, ht,
+                               dataclasses.replace(cfg, diagnostics=True),
+                               initial=initial)
+        assert len(calls) == taken
+        return modal, nodal, taken
+
+    @staticmethod
+    def check_agree(spec, modal, nodal):
+        ((p1, u1), h1), ((p2, u2), h2) = modal, nodal
+        assert h1.converged and h2.converged
+        assert h1.iterations == h2.iterations
+        # the early residuals still sit far above rounding: the same
+        # operators give the same values there
+        assert np.allclose(h1.residual[:5], h2.residual[:5], rtol=1e-9, atol=0.0)
+        assert relative(u1, u2) <= 1e-10 and relative(p1, p2) <= 1e-10
+        assert u1.flags.f_contiguous and p1.flags.f_contiguous
+        u_star = ps.sequential_euler_solve(spec)
+        assert relative(u1, u_star) <= 1e-8 and relative(u2, u_star) <= 1e-8
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(["1d", "2d"]))
+    def test_matches_nodal_and_sweep(self, seed, space):
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+        assert len(spec.step_groups) == 1
+        modal, nodal, taken = self.both(spec)
+        assert taken > 0
+        self.check_agree(spec, modal, nodal)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_warm_start(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = oracle.random_spec(rng)
+        initial = (rng.standard_normal((spec.N, spec.dim)),
+                   rng.standard_normal((spec.N, spec.dim)))
+        modal, nodal, taken = self.both(spec, initial)
+        assert taken > 0
+        self.check_agree(spec, modal, nodal)
+
+    def test_one_application_of_each_inverse_per_iteration(self, monkeypatch):
+        # the eigenbasis loop still goes through both apply_inverse methods,
+        # so their clocks, and anything wrapping them, see every application
+        counts = {ps.BlockDiagSolver: 0, ps.SchurPreconditioner: 0}
+        for cls in counts:
+            def counted(self, *args, _cls=cls, _original=cls.apply_inverse, **kwargs):
+                counts[_cls] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "apply_inverse", counted)
+        grid = ps.build_time_grid("uniform", 16, 1.0)
+        spec = ps.make_heat_problem("1d", 16, grid, data="sine")
+        system, at, ht = setup(spec)
+        calls = modal_calls(ht)
+        _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(tol=1e-10))
+        assert hist.converged and calls
+        # one of each for the reference norm, then one of each per iteration
+        assert list(counts.values()) == [hist.iterations + 1] * 2
+        assert at.spatial_seconds > 0.0 and ht.spatial_seconds > 0.0
+
+    def test_zero_data(self):
+        grid = ps.build_time_grid("perturbed", 8, 1.0, perturbation=0.3, seed=1)
+        spec = ps.make_heat_problem("1d", 8, grid, data="zero",
+                                    coeff=lambda t: 1.0 + t)
+        system, at, ht = setup(spec)
+        initial = (np.ones((spec.N, spec.dim)), np.full((spec.N, spec.dim), 2.0))
+        for start in (None, initial):
+            (p, u), hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(),
+                                          initial=start)
+            assert hist.converged and hist.iterations == 0
+            expected = (np.zeros_like(p), np.zeros_like(u)) if start is None else start
+            assert np.array_equal(p, expected[0]) and np.array_equal(u, expected[1])
+
+    @staticmethod
+    def other_pencil(spec):
+        """A Schur preconditioner built on an equal problem assembled anew,
+        so it holds equal matrices but not the problem's own objects."""
+        twin = ps.make_heat_problem(spec.meta["space"], spec.meta["mesh"], spec.grid,
+                                    data="zero")
+        return ps.build_schur_preconditioner(twin, "direct")
+
+    @pytest.mark.parametrize("case", ["per-step", "mg", "jacobi", "other-pencil"])
+    def test_falls_back_to_nodal(self, case):
+        if case == "per-step":
+            spec = oracle.per_step_spec()
+        else:
+            grid = ps.build_time_grid("uniform", 8, 1.0)
+            spec = ps.make_heat_problem("1d", 8, grid, data="random", seed=4)
+        system, at, ht = setup(spec)
+        if case in ("mg", "jacobi"):
+            hier = ps.build_mg_hierarchy("1d", 8)
+            at = ps.BlockDiagSolver(spec, case, hierarchy=hier)
+        if case == "other-pencil":
+            ht = self.other_pencil(spec)
+        calls = modal_calls(ht)
+        cfg = ps.UzawaConfig(omega=ps.safe_damping(spec.alpha), tol=1e-10,
+                             max_iter=40)
+        (p1, u1), h1 = ps.uzawa_solve(system, at, ht, cfg)
+        (p2, u2), h2 = ps.uzawa_solve(system, at, ht,
+                                      dataclasses.replace(cfg, diagnostics=True))
+        assert not calls
+        assert h1.iterations > 5
+        assert h1.residual == h2.residual
+        assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
