@@ -11,10 +11,9 @@ from __future__ import annotations
 import statistics
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BoundViolationError
-from .linalg import dense_generalized_eig_extremal, lanczos_extremal_eig
+from .linalg import dense_generalized_eig_extremal, eigh_pencil, lanczos_extremal_eig
 from .operators import BlockDiagSolver, TimeGlobalSystem, dense_operator
 from .problems import ProblemSpec, build_time_grid, make_heat_problem
 from .schur import SchurPreconditioner, build_schur_preconditioner
@@ -60,7 +59,7 @@ def _schur_spectrum(spec: ProblemSpec, seed: int) -> tuple[float, float]:
     X -> H~(X V') V."""
     system = TimeGlobalSystem(spec, diagnostic=True)
     ht = SchurPreconditioner(spec, solver_kind="direct")
-    _, v = scipy.linalg.eigh(spec.a_ref.todense(), spec.mass.todense())
+    _, v = eigh_pencil(spec.a_ref.todense(), spec.mass.todense(), name="mass matrix")
     mv = spec.mass.dot(v)
     x0 = np.random.default_rng(seed).standard_normal((spec.N, spec.dim))
     res = lanczos_extremal_eig(

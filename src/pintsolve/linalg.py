@@ -201,6 +201,17 @@ def cholesky_solve(mat: SpatialMatrix, b: np.ndarray) -> np.ndarray:
     return SpdFactor(mat).solve(b)
 
 
+def eigh_pencil(a: np.ndarray, b: np.ndarray | None, name: str = "B", **kwargs):
+    """``scipy.linalg.eigh(a, b, **kwargs)`` for A symmetric and B SPD.
+
+    Raises NotSpdError, naming B, when B has no Cholesky factor.
+    """
+    try:
+        return scipy.linalg.eigh(a, b, **kwargs)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotSpdError(f"{name} is not SPD: {exc}") from exc
+
+
 def dense_generalized_eig_extremal(
     a: np.ndarray,
     b: np.ndarray,
@@ -216,10 +227,7 @@ def dense_generalized_eig_extremal(
         )
     if a.shape != b.shape or a.shape != (n, n):
         raise DimensionMismatchError("pencil matrices must be square of equal size")
-    try:
-        w = scipy.linalg.eigh(a, b, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSpdError(f"B factorization failed: {exc}") from exc
+    w = eigh_pencil(a, b, eigvals_only=True)
     return float(w[0]), float(w[-1])
 
 

@@ -98,41 +98,34 @@ def assemble_mass_stiffness_2d(cells_per_side: int) -> tuple[SpatialMatrix, Spat
 
     Each grid cell is split along the diagonal from its lower-left to its
     upper-right corner; homogeneous Dirichlet unknowns are the interior nodes.
+    Assembled from index arrays in element order (cells row by row, two
+    triangles each), keeping only the entries between interior nodes.
     """
     if cells_per_side < 2:
         raise InputError("need at least 2 cells per side")
     c = cells_per_side
     h = 1.0 / c
-    nn = (c + 1) * (c + 1)
-
-    def node(i: int, j: int) -> int:
-        return j * (c + 1) + i
-
-    tris = []
-    for j in range(c):
-        for i in range(c):
-            ll, lr = node(i, j), node(i + 1, j)
-            ul, ur = node(i, j + 1), node(i + 1, j + 1)
-            # right angles at lr and ul; both triangles share the ll-ur diagonal
-            tris.append((lr, ur, ll))
-            tris.append((ul, ll, ur))
-    rows, cols, m_vals, a_vals = [], [], [], []
+    dim = (c - 1) ** 2
+    # unknown number of every mesh node (row j, column i), -1 on the boundary
+    number = np.full((c + 1, c + 1), -1, dtype=np.int64)
+    number[1:-1, 1:-1] = np.arange(dim).reshape(c - 1, c - 1)
+    ll, lr = number[:-1, :-1], number[:-1, 1:]
+    ul, ur = number[1:, :-1], number[1:, 1:]
+    # right angles at lr and ul; both triangles share the ll-ur diagonal
+    tris = np.stack([lr, ur, ll, ul, ll, ur], axis=-1).reshape(-1, 3)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
     area = 0.5 * h * h
-    for tri in tris:
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                a_vals.append(_STIFF_EL[a, b])
-                m_vals.append(area * _MASS_EL[a, b])
-    mass_full = sp.coo_matrix((m_vals, (rows, cols)), shape=(nn, nn)).tocsr()
-    stiff_full = sp.coo_matrix((a_vals, (rows, cols)), shape=(nn, nn)).tocsr()
-    interior = np.array(
-        [node(i, j) for j in range(1, c) for i in range(1, c)], dtype=np.int64
-    )
-    mass = mass_full[np.ix_(interior, interior)]
-    stiff = stiff_full[np.ix_(interior, interior)]
-    return SpatialMatrix.from_sparse(mass), SpatialMatrix.from_sparse(stiff)
+
+    def assemble(element: np.ndarray) -> SpatialMatrix:
+        vals = np.tile(element.ravel(), len(tris))[keep]
+        return SpatialMatrix._from_csr(
+            sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        )
+
+    return assemble(area * _MASS_EL), assemble(_STIFF_EL)
 
 
 def interior_nodes_1d(num_cells: int) -> np.ndarray:
@@ -328,8 +321,9 @@ def make_heat_problem(
 
 
 def _write_matrix(fh, name: str, m: SpatialMatrix) -> None:
-    fh.write(f"matrix {name} {m.dim} {len(m.vals)}\n")
-    for i, j, v in zip(m.rows, m.cols, m.vals):
+    upper = sp.triu(m.tocsr(), format="coo")
+    fh.write(f"matrix {name} {m.dim} {upper.nnz}\n")
+    for i, j, v in zip(upper.row, upper.col, upper.data):
         fh.write(f"{i} {j} {float(v)!r}\n")
 
 

@@ -18,11 +18,10 @@ import time
 from collections.abc import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .dst import DstPlan
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import SpatialMatrix, SpdFactor, add_matrices
+from .linalg import SpatialMatrix, SpdFactor, add_matrices, eigh_pencil
 from .problems import ProblemSpec
 from .spatial import MgHierarchy, SpatialSolver, build_mg_hierarchy, make_solver
 from . import parallel
@@ -136,13 +135,10 @@ class SchurPreconditioner:
         return _Views(self.N, lambda k: self.batched.columns(slice(k, k + 1)))
 
     def _diagonalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        try:
-            lam, v = scipy.linalg.eigh(
-                self._tau_a.todense(), self.mass.todense(),
-                overwrite_a=True, overwrite_b=True,
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpdError(f"mass matrix is not SPD: {exc}") from exc
+        lam, v = eigh_pencil(
+            self._tau_a.todense(), self.mass.todense(), name="mass matrix",
+            overwrite_a=True, overwrite_b=True,
+        )
         denom = self.mu[:, None] + lam
         if np.any(denom <= 0.0):
             raise NotSpdError("frequency-mode blend is not SPD")

@@ -14,15 +14,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import (
-    SpatialMatrix,
-    SpdFactor,
-    lanczos_extremal_eig,
-)
+from .linalg import SpatialMatrix, SpdFactor, eigh_pencil, lanczos_extremal_eig
 
 # Columns per block of the inexact kinds.  The V-cycle (or Jacobi)
 # temporaries made from a block are then small enough for the allocator to
@@ -181,13 +176,13 @@ class JacobiSolver(_BlendSolver):
 def _prolongation_1d(coarse_cells: int) -> sp.csr_matrix:
     """Linear interpolation from (c-1) to (2c-1) interior nodes."""
     fine_dim = 2 * coarse_cells - 1
-    coarse_dim = coarse_cells - 1
-    p = sp.lil_matrix((fine_dim, coarse_dim))
-    for j in range(coarse_dim):
-        p[2 * j + 1, j] = 1.0
-        p[2 * j, j] = 0.5
-        p[2 * j + 2, j] = 0.5
-    return p.tocsr()
+    coarse = np.arange(coarse_cells - 1)
+    # coarse node j sits on fine node 2j+1 and is halved onto both neighbours
+    rows = np.concatenate([2 * coarse + 1, 2 * coarse, 2 * coarse + 2])
+    vals = np.repeat([1.0, 0.5, 0.5], coarse.size)
+    return sp.csr_matrix(
+        (vals, (rows, np.tile(coarse, 3))), shape=(fine_dim, coarse.size)
+    )
 
 
 @dataclass
@@ -251,13 +246,11 @@ class MgVCycleSolver(_BlendSolver):
         # restrictions P' as CSR once, not a new CSC transpose per product
         self._restrictions = [p.T.tocsr() for p in hierarchy.prolongations]
         coarse = ops[-1]
-        try:
-            lam, self._coarse_v = scipy.linalg.eigh(
-                coarse.base.toarray(),
-                None if coarse.mass is None else coarse.mass.toarray(),
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpdError(f"coarse mass is not SPD: {exc}") from exc
+        lam, self._coarse_v = eigh_pencil(
+            coarse.base.toarray(),
+            None if coarse.mass is None else coarse.mass.toarray(),
+            name="coarse mass",
+        )
         denom = lam[:, None] if self._shifts is None else lam[:, None] + self._shifts
         if np.any(denom <= 0.0):
             raise NotSpdError("coarse operator is not SPD")

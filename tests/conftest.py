@@ -1,13 +1,15 @@
-"""Shared dense oracles for the test suite.
+"""Shared oracles for the test suite.
 
 Everything here is built independently of the package's operator code:
 dense Kronecker assemblies of the time-global matrices, straight from the
-block structure of the implicit Euler method.
+block structure of the implicit Euler method, and element-by-element loops
+for the spatial matrices and grid transfers.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import pintsolve as ps
 
@@ -24,6 +26,65 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+def loop_assembly_2d(cells):
+    """(M, A) of ``assemble_mass_stiffness_2d`` by a loop over the triangles:
+    the boundary-inclusive matrices, then their interior block."""
+    c = cells
+    h = 1.0 / c
+    nn = (c + 1) * (c + 1)
+
+    def node(i, j):
+        return j * (c + 1) + i
+
+    stiff_el = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    mass_el = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    tris = []
+    for j in range(c):
+        for i in range(c):
+            ll, lr = node(i, j), node(i + 1, j)
+            ul, ur = node(i, j + 1), node(i + 1, j + 1)
+            tris.append((lr, ur, ll))
+            tris.append((ul, ll, ur))
+    rows, cols, m_vals, a_vals = [], [], [], []
+    area = 0.5 * h * h
+    for tri in tris:
+        for a in range(3):
+            for b in range(3):
+                rows.append(tri[a])
+                cols.append(tri[b])
+                a_vals.append(stiff_el[a, b])
+                m_vals.append(area * mass_el[a, b])
+    interior = np.array(
+        [node(i, j) for j in range(1, c) for i in range(1, c)], dtype=np.int64
+    )
+    return tuple(
+        ps.SpatialMatrix.from_sparse(
+            sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn))
+            .tocsr()[np.ix_(interior, interior)]
+        )
+        for vals in (m_vals, a_vals)
+    )
+
+
+def loop_prolongation_1d(coarse_cells):
+    """Linear interpolation from (c-1) to (2c-1) interior nodes, entry by entry."""
+    p = sp.lil_matrix((2 * coarse_cells - 1, coarse_cells - 1))
+    for j in range(coarse_cells - 1):
+        p[2 * j + 1, j] = 1.0
+        p[2 * j, j] = 0.5
+        p[2 * j + 2, j] = 0.5
+    return p.tocsr()
+
+
+def assert_same_csr(got, want):
+    """Equal CSR arrays: data bit for bit, indices and indptr."""
+    got, want = got.tocsr(), want.tocsr()
+    assert got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
 
 
 def dense_M(spec) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pintsolve as ps
 from pintsolve.errors import InputError
@@ -78,6 +79,27 @@ class TestInverseAndTransposeIdentities:
         assert np.allclose(fwd @ inv, np.eye(N), atol=1e-12)
         for u in np.eye(N):
             assert np.allclose(plan.forward(u), fwd @ u, atol=1e-13)
+
+
+class TestIdentityProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(N=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, N, seed):
+        plan = ps.DstPlan(N)
+        u = np.random.default_rng(seed).standard_normal(N)
+        assert np.max(np.abs(plan.inverse(plan.forward(u)) - u)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(N=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
+    def test_transpose_pairs_are_adjoint(self, N, seed):
+        rng = np.random.default_rng(seed)
+        plan = ps.DstPlan(N)
+        u, v = rng.standard_normal(N), rng.standard_normal(N)
+        for op, op_t in ((plan.forward, plan.forward_transpose),
+                         (plan.inverse, plan.inverse_transpose)):
+            image = op(u)
+            gap = abs(image @ v - u @ op_t(v))
+            assert gap <= 1e-12 * np.linalg.norm(image) * np.linalg.norm(v)
 
 
 class TestBasisOrthogonality:

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pintsolve as ps
 from pintsolve.errors import InputError, NotSpdError
@@ -117,6 +120,13 @@ class TestAssembly2d:
         mass, stiff = ps.assemble_mass_stiffness_2d(8)
         assert np.linalg.eigvalsh(mass.todense())[0] > 0
         assert np.linalg.eigvalsh(stiff.todense())[0] > 0
+
+    @pytest.mark.parametrize("cells", list(range(2, 21)) + [32])
+    def test_matches_element_loop(self, cells):
+        # same entries in the same order, so every duplicate sums alike
+        for got, want in zip(ps.assemble_mass_stiffness_2d(cells),
+                             oracle.loop_assembly_2d(cells)):
+            oracle.assert_same_csr(got, want)
 
 
 class TestAlpha:
@@ -262,6 +272,52 @@ class TestSerialization:
         assert np.array_equal(
             ps.sequential_euler_solve(spec), ps.sequential_euler_solve(back)
         )
+
+    @staticmethod
+    def check_round_trip(spec, back):
+        """Every number of the file comes back bit for bit."""
+        assert np.array_equal(back.grid.nodes, spec.grid.nodes)
+        assert back.tau_ref == spec.tau_ref and back.alpha == spec.alpha
+        assert np.array_equal(back.u_init, spec.u_init)
+        assert np.array_equal(back.load, spec.load)
+        oracle.assert_same_csr(back.mass, spec.mass)
+        oracle.assert_same_csr(back.a_ref, spec.a_ref)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(["1d", "2d"]))
+    def test_round_trip_property(self, tmp_path_factory, seed, space):
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+        path = tmp_path_factory.mktemp("rt") / "problem.txt"
+        ps.save_problem(spec, str(path))
+        back = ps.load_problem(str(path))
+        self.check_round_trip(spec, back)
+        # the file holds A_n as a multiple of A_ref, and s * (c * A) may
+        # differ from (s c) * A in the last bit
+        for a, b in zip(back.stiffness, spec.stiffness):
+            assert np.allclose(a.todense(), b.todense(), rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_property_per_step(self, tmp_path_factory, seed):
+        spec = oracle.per_step_spec(seed)
+        path = tmp_path_factory.mktemp("rt") / "per_step.txt"
+        ps.save_problem(spec, str(path))
+        assert f"matrix A_{spec.N} " in path.read_text()
+        back = ps.load_problem(str(path))
+        self.check_round_trip(spec, back)
+        for a, b in zip(back.stiffness, spec.stiffness):
+            oracle.assert_same_csr(a, b)
+
+    @pytest.mark.parametrize("seed,size,digest", [
+        (0, 3611, "4eeec66963c8e8fc52d55f87a3bc092d3071f474a082c2c5f356da8658e2caee"),
+        (1, 3620, "80ea3a0a03de5c4e6f969438c4af0a6358f858854f3fa876961f28c8a9d9289c"),
+    ])
+    def test_per_step_file_bytes_are_pinned(self, tmp_path, seed, size, digest):
+        path = tmp_path / "per_step.txt"
+        ps.save_problem(oracle.per_step_spec(seed), str(path))
+        text = path.read_bytes()
+        assert len(text) == size
+        assert hashlib.sha256(text).hexdigest() == digest
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pintsolve as ps
 from pintsolve.errors import InputError
-from pintsolve.spatial import materialize_inverse
+from pintsolve.spatial import _prolongation_1d, materialize_inverse
+
+import conftest as oracle
 
 
 def problem_matrices(space, cells):
@@ -93,6 +96,18 @@ class TestMultigrid:
         x_fine = np.arange(1, p.shape[0] + 1) / (p.shape[0] + 1)
         tent = lambda x: np.minimum(x, 1.0 - x)  # noqa: E731
         assert np.allclose(p @ tent(x_coarse), tent(x_fine), atol=1e-13)
+
+    @pytest.mark.parametrize("coarse_cells", range(2, 33))
+    def test_prolongation_matches_entrywise_build(self, coarse_cells):
+        oracle.assert_same_csr(_prolongation_1d(coarse_cells),
+                               oracle.loop_prolongation_1d(coarse_cells))
+
+    def test_2d_prolongations_match_entrywise_build(self):
+        hier = ps.build_mg_hierarchy("2d", 16)
+        assert hier.cells == [16, 8, 4, 2]
+        for c, p in zip(hier.cells[1:], hier.prolongations):
+            p1 = oracle.loop_prolongation_1d(c)
+            oracle.assert_same_csr(p, sp.kron(p1, p1))
 
 
 class TestPreconditionerQualityEstimates:
