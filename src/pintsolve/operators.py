@@ -46,6 +46,16 @@ def time_difference_t(mx: np.ndarray) -> np.ndarray:
     return out
 
 
+def saddle_product(mass, abd, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric indefinite two-by-two block operator on (p, u), given
+    the mass and A_bd products: two of each (M p, M u; A_bd p, A_bd u)."""
+    mu = mass(u)
+    ku = time_difference(mu)
+    top = abd(p) - ku
+    bottom = -time_difference_t(mass(p)) - (ku + time_difference_t(mu) + abd(u))
+    return top, bottom
+
+
 class BlockDiagSolver:
     """Preconditioner for the per-step block: tau_n times a spatial solver.
 
@@ -177,12 +187,7 @@ class TimeGlobalSystem:
 
         Makes two mass products (M p, M u) and two of A_bd (p, u).
         """
-        mu = self.apply_M(u)
-        ku = time_difference(mu)
-        top = self.apply_Abd(p) - ku
-        bottom = -time_difference_t(self.apply_M(p)) - (
-            ku + time_difference_t(mu) + self.apply_Abd(u))
-        return top, bottom
+        return saddle_product(self.apply_M, self.apply_Abd, p, u)
 
     # --- diagnostic-mode operators ---------------------------------------------
 

@@ -10,11 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NotSpdError, SolverDivergenceError
-from .linalg import SpdFactor, add_matrices
+from .linalg import SpatialMatrix, SpdFactor, add_matrices
 from .operators import (
     BlockDiagSolver,
     TimeGlobalSystem,
     d_norm,
+    saddle_product,
     time_difference,
     time_difference_t,
 )
@@ -161,18 +162,24 @@ def _identity(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _OperatorSet:
-    """What one Uzawa iteration applies, all in one basis: the right-hand
-    side, the mass and block-diagonal operators and the two preconditioner
-    inverses.  to_basis maps a nodal iterate into the basis and from_basis
-    maps it back."""
+    """What one iteration of Uzawa or MINRES applies, all in one basis: the
+    mass and block-diagonal operators and the two preconditioner inverses.
+    to_basis maps a nodal iterate into the basis and from_basis maps it
+    back; dual_to_basis maps a nodal right-hand side into the basis."""
 
-    rhs: np.ndarray
     mass: Callable[[np.ndarray], np.ndarray]
     abd: Callable[[np.ndarray], np.ndarray]
     atilde: Callable[[np.ndarray], np.ndarray]
     htilde: Callable[[np.ndarray], np.ndarray]
     to_basis: Callable[[np.ndarray], np.ndarray] = _identity
     from_basis: Callable[[np.ndarray], np.ndarray] = _identity
+    dual_to_basis: Callable[[np.ndarray], np.ndarray] = _identity
+
+
+def _nodal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
+               htilde: SchurPreconditioner) -> _OperatorSet:
+    return _OperatorSet(system.apply_M, system.apply_Abd,
+                        atilde.apply_inverse, htilde.apply_inverse)
 
 
 def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
@@ -185,10 +192,12 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     group, A_n = s_n base, with A_ref = s_ref base.  Then M is the identity,
     tau_n A_n is the (N, dim) weight w_nj = tau_n s_n / (tau_ref s_ref) lam_j,
     and a block x = x_hat V' has coefficients x_hat = x M V (primal: p, u)
-    or x V (dual: f and the residuals).
+    or x V (dual: f and the residuals).  A preconditioner without an
+    ``eigenbasis`` method gives None too.
     """
     spec = system.spec
-    basis = htilde.eigenbasis(spec)
+    eigenbasis = getattr(htilde, "eigenbasis", None)
+    basis = None if eigenbasis is None else eigenbasis(spec)
     if basis is None or len(spec.step_groups) != 1 or not atilde.inverts(system):
         return None
     ((base, _, scales),) = spec.step_groups
@@ -198,18 +207,32 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     v, lam = basis
     w = np.asfortranarray(
         np.outer(spec.grid.steps * scales / (spec.tau_ref * s_ref), lam))
-    mvt = spec.mass.dot(v).T
     # each map is one product on the (dim, N) view of a Fortran-order block,
     # and returns a Fortran-order block
     return _OperatorSet(
-        rhs=(v.T @ system.rhs.T).T,
         mass=_identity,
         abd=lambda x: w * x,
         atilde=lambda r: atilde.apply_inverse(r, weights=w),
         htilde=lambda r: htilde.apply_inverse(r, eigenbasis=True),
-        to_basis=lambda x: (mvt @ x.T).T,
+        to_basis=lambda x: (v.T @ spec.mass.dot(x.T)).T,
         from_basis=lambda x: (v @ x.T).T,
+        dual_to_basis=lambda x: (v.T @ x.T).T,
     )
+
+
+def _mass_floor(mass: SpatialMatrix) -> float:
+    """sigma <= lambda_min(M), or 0 where that cannot be certified.
+
+    sigma is a quarter of M's smallest diagonal entry, certified by a
+    factorization of M - sigma I.  The eigenbasis V of a pencil with mass M
+    has V V' = M^-1, so ||x_hat V'|| <= ||x_hat|| / sqrt(sigma).
+    """
+    sigma = float(mass.diagonal().min()) / 4.0
+    try:
+        SpdFactor(add_matrices(1.0, mass, -sigma, SpatialMatrix.identity(mass.dim)))
+    except NotSpdError:
+        return 0.0
+    return sigma
 
 
 def uzawa_solve(
@@ -253,12 +276,11 @@ def uzawa_solve(
         system.build_exact_solvers()
         s_norm_ref = system.s_norm(u_star)
     ops = None if diagnostics else _modal_set(system, atilde, htilde)
-    if ops is None:  # nodal values
-        ops = _OperatorSet(system.rhs, system.apply_M, system.apply_Abd,
-                           atilde.apply_inverse, htilde.apply_inverse)
+    if ops is None:
+        ops = _nodal_set(system, atilde, htilde)
     record_d = diagnostics and atilde.kind == "direct" and htilde.solver_kind == "direct"
 
-    f = ops.rhs
+    f = ops.dual_to_basis(system.rhs)
     ref = np.sqrt(
         max(np.sum(f * ops.atilde(f)) + np.sum(f * ops.htilde(f)), 0.0)
     )
@@ -341,24 +363,43 @@ def minres_solve(
     preconditioner application.  The recorded residual is the recurrence's
     preconditioned residual norm phibar over beta1 = sqrt(g' P^-1 g), so it
     costs nothing extra.
+
+    When both block solves are exact in the eigenbasis of htilde (see
+    ``_modal_set``), the recurrence runs on the basis coefficients, and p and
+    u are mapped back once at the end.  Its scalars pair a primal block with
+    a dual one and do not depend on the basis; scipy's tests also read
+    ynorm = ||x||_2 of the nodal iterate, which the basis does not preserve.
+    Each iteration therefore tests first with the bound ||x_hat||_2 /
+    sqrt(sigma) >= ||x||_2, sigma a certified floor of M's spectrum (see
+    ``_mass_floor``), and only when some test would stop with it takes the
+    exact ||x_hat V'||_2 and decides on that.  No test can stop for the
+    bound and not for the exact norm, so the stops are scipy's.  Without a
+    floor the exact norm is taken at every iteration.  Otherwise the
+    recurrence runs on nodal values, with the arithmetic of
+    ``system.apply_saddle``.  Both give the same iterates up to rounding.
     """
     if max_iter < 1:
         raise InputError("iteration limit must be at least one")
-    f = system.rhs
-    g = np.empty((2,) + f.T.shape)
-    g[0] = g[1] = -f.T
+    ops = _modal_set(system, atilde, htilde)
+    modal = ops is not None
+    if not modal:
+        ops = _nodal_set(system, atilde, htilde)
+    # g = (-f, -f); the coefficients of f are not kept
+    g = np.empty((2, system.spec.dim, system.spec.N))
+    g[0] = -ops.dual_to_basis(system.rhs).T
+    g[1] = g[0]
     eps = np.finfo(np.float64).eps
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        top, bottom = system.apply_saddle(v[0].T, v[1].T)
+        top, bottom = saddle_product(ops.mass, ops.abd, v[0].T, v[1].T)
         out[0], out[1] = top.T, bottom.T
         return out
 
     def precond(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
-        out[0] = atilde.apply_inverse(r[0].T).T
-        out[1] = htilde.apply_inverse(r[1].T).T
+        out[0] = ops.atilde(r[0].T).T
+        out[1] = ops.htilde(r[1].T).T
         return out
 
     # cheap positivity probe of the preconditioner
@@ -377,6 +418,11 @@ def minres_solve(
     if beta1 == 0.0:
         hist.converged = True
         return (x[0].T, x[1].T), hist
+    # 1 / sqrt(sigma) scales ||x_hat|| to the bound; 0 takes the exact norm
+    bound_scale = 0.0
+    if modal:
+        sigma = _mass_floor(system.spec.mass)
+        bound_scale = 1.0 / np.sqrt(sigma) if sigma > 0.0 else 0.0
 
     istop = 0
     oldb = 0.0
@@ -387,6 +433,32 @@ def minres_solve(
     gmax = 0.0
     gmin = np.finfo(np.float64).max
     cs, sn = -1.0, 0.0
+
+    def stop(itn: int, ynorm: float) -> int:
+        """scipy's istop after iteration itn with ||x||_2 = ynorm: 1 or 2
+        tolerance met, 3 eps accuracy, 4 condition estimate above 0.1/eps,
+        6 iteration limit, 0 to go on.  Every test but 1 and 3 ignores
+        ynorm; test1 falls and test 3 rises as ynorm grows."""
+        anorm = np.sqrt(tnorm2)
+        test1 = np.inf if ynorm == 0.0 or anorm == 0.0 else phibar / (anorm * ynorm)
+        test2 = np.inf if anorm == 0.0 else root / anorm
+        istop = 0
+        if test2 + 1.0 <= 1.0:
+            istop = 2
+        if test1 + 1.0 <= 1.0:
+            istop = 1
+        if itn >= max_iter:
+            istop = 6
+        if gmax / gmin >= 0.1 / eps:
+            istop = 4
+        if anorm * ynorm * eps >= beta1:
+            istop = 3
+        if test2 <= tol:
+            istop = 2
+        if test1 <= tol:
+            istop = 1
+        return istop
+
     w = np.zeros_like(g)
     w2 = np.zeros_like(g)
     r1 = g
@@ -427,27 +499,12 @@ def minres_solve(
 
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
-        anorm = np.sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
-        test1 = np.inf if ynorm == 0.0 or anorm == 0.0 else phibar / (anorm * ynorm)
-        test2 = np.inf if anorm == 0.0 else root / anorm
-        # istop as in scipy: 1 or 2 tolerance met, 3 eps accuracy, 4 condition
-        # estimate above 0.1/eps, 6 iteration limit
         if istop == 0:
-            if test2 + 1.0 <= 1.0:
-                istop = 2
-            if test1 + 1.0 <= 1.0:
-                istop = 1
-            if itn >= max_iter:
-                istop = 6
-            if gmax / gmin >= 0.1 / eps:
-                istop = 4
-            if anorm * ynorm * eps >= beta1:
-                istop = 3
-            if test2 <= tol:
-                istop = 2
-            if test1 <= tol:
-                istop = 1
+            if bound_scale:
+                istop = stop(itn, np.linalg.norm(x) * bound_scale)
+            if istop or not bound_scale:
+                # x.T stacks the blocks p and u: this is ||x||_2 on nodal values
+                istop = stop(itn, np.linalg.norm(ops.from_basis(x.T)))
 
         fft, spatial = _clocks(atilde, htilde)
         hist.append(float(phibar / beta1), None, None, time.perf_counter() - t0,
@@ -455,4 +512,4 @@ def minres_solve(
         if istop != 0:
             break
     hist.converged = istop != 6
-    return (x[0].T, x[1].T), hist
+    return (ops.from_basis(x[0].T), ops.from_basis(x[1].T)), hist

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import time
 
@@ -636,3 +637,130 @@ class TestEigenbasisPath:
         assert h1.iterations > 5
         assert h1.residual == h2.residual
         assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
+
+
+class TestMinresEigenbasisPath:
+    """With direct block solves on a problem with one step group, MINRES runs
+    its recurrence on the coefficients in the eigenbasis of (tau_ref A_ref, M)
+    and keeps scipy's stopping rule: it tests a certified upper bound on
+    ||x||_2 first and decides every stop on the exact norm."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Counts of saddle products, eigenbasis applications of any Htilde
+        and maps back to nodal values (one per exact norm, plus p and u)."""
+        counts = {"saddle": 0, "eigenbasis": 0, "from_basis": 0}
+        apply_saddle = ps.TimeGlobalSystem.apply_saddle
+        apply_inverse = ps.SchurPreconditioner.apply_inverse
+        modal_set = ps.solvers._modal_set
+
+        def saddle(self, p, u):
+            counts["saddle"] += 1
+            return apply_saddle(self, p, u)
+
+        def inverse(self, r, eigenbasis=False):
+            counts["eigenbasis"] += eigenbasis
+            return apply_inverse(self, r, eigenbasis=eigenbasis)
+
+        def counted_set(*args):
+            ops = modal_set(*args)
+            if ops is None:
+                return None
+            from_basis = ops.from_basis
+
+            def counted(x):
+                counts["from_basis"] += 1
+                return from_basis(x)
+
+            return dataclasses.replace(ops, from_basis=counted)
+
+        monkeypatch.setattr(ps.TimeGlobalSystem, "apply_saddle", saddle)
+        monkeypatch.setattr(ps.SchurPreconditioner, "apply_inverse", inverse)
+        monkeypatch.setattr(ps.solvers, "_modal_set", counted_set)
+        return counts
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(["1d", "2d"]))
+    def test_matches_nodal_and_sweep(self, seed, space):
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+        system, at, ht = setup(spec)
+        calls = modal_calls(ht)
+        (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-12)
+        assert calls
+        # an Htilde built on a copy of the problem holds no eigenbasis of it
+        nodal = ps.build_schur_preconditioner(copy.deepcopy(spec), "direct")
+        assert nodal.eigenbasis(spec) is None
+        (p2, u2), h2 = ps.minres_solve(system, at, nodal, tol=1e-12)
+        assert h1.converged and h2.converged
+        assert h1.iterations == h2.iterations
+        assert np.allclose(h1.residual[:5], h2.residual[:5], rtol=1e-9, atol=0.0)
+        assert relative(u1, u2) <= 1e-10 and relative(p1, p2) <= 1e-10
+        assert u1.flags.f_contiguous and p1.flags.f_contiguous
+        u_star = ps.sequential_euler_solve(spec)
+        assert relative(u1, u_star) <= 1e-8 and relative(u2, u_star) <= 1e-8
+
+    def test_no_saddle_product_and_few_exact_norms(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        spec = oracle.random_spec(rng, space="2d")
+        system, at, ht = setup(spec)
+        counts = self.spy(monkeypatch)
+        _, hist = ps.minres_solve(system, at, ht, tol=1e-12)
+        assert hist.converged and hist.iterations > 10
+        assert counts["saddle"] == 0
+        # the probe, beta_1, then one application per iteration
+        assert counts["eigenbasis"] == hist.iterations + 4
+        exact_norms = counts["from_basis"] - 2
+        assert 1 <= exact_norms <= hist.iterations // 3
+
+    def test_uncertified_floor_gives_the_same_stop(self, monkeypatch):
+        spec = oracle.random_spec(np.random.default_rng(22), space="2d")
+        system, at, ht = setup(spec)
+        counts = self.spy(monkeypatch)
+        (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-12)
+        certified = counts["from_basis"]
+
+        class Uncertified:
+            def __init__(self, mat):
+                raise NotSpdError("forced")
+
+        monkeypatch.setattr(ps.solvers, "SpdFactor", Uncertified)
+        counts["from_basis"] = 0
+        (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-12)
+        # without a floor the exact norm is taken at every iteration
+        assert counts["from_basis"] == h2.iterations + 2 > certified
+        assert h1.converged and h2.converged
+        assert h1.iterations == h2.iterations
+        assert h1.residual == h2.residual
+        assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
+
+    @pytest.mark.parametrize("seed,problems", [(11, 4), (12, 1)])
+    def test_scipy_comparisons_run_in_the_eigenbasis(self, seed, problems,
+                                                     monkeypatch):
+        # the problems of TestMinres.test_matches_scipy_minres (seed 11) and
+        # test_logged_residual_is_preconditioned_residual (seed 12)
+        counts = self.spy(monkeypatch)
+        rng = np.random.default_rng(seed)
+        for _ in range(problems):
+            spec = oracle.random_spec(rng)
+            before = counts["eigenbasis"]
+            _, hist = ps.minres_solve(*setup(spec), tol=1e-10)
+            assert counts["eigenbasis"] - before == hist.iterations + 4
+        assert counts["saddle"] == 0
+
+    def test_duck_typed_preconditioner_stays_nodal(self, monkeypatch):
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        system, at, ht = setup(spec)
+
+        class Plain:
+            fft_seconds = spatial_seconds = 0.0
+
+            def apply_inverse(self, r):
+                return ht.apply_inverse(r)
+
+        counts = self.spy(monkeypatch)
+        (p1, u1), h1 = ps.minres_solve(system, at, Plain(), tol=1e-10)
+        assert counts["eigenbasis"] == counts["from_basis"] == 0
+        (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-10)
+        assert h1.iterations == h2.iterations
+        assert relative(u2, u1) <= 1e-10
