@@ -269,7 +269,7 @@ def run_scaling(
     repeats: int = 5,
 ) -> list[dict]:
     """Wall time per iteration of the two-stage iteration versus the number
-    of worker threads, with the transform/spatial share of the total.
+    of threads, with the transform/spatial share of the total.
 
     Times and shares come from the solves' histories: the total covers the
     iteration loop, and the shares are those of the last repeat.  The

@@ -32,17 +32,29 @@ def fold_rhs(spec: ProblemSpec) -> np.ndarray:
     return rhs
 
 
-def time_difference(mx: np.ndarray) -> np.ndarray:
-    """K x from the block M x: (M x)_n - (M x)_{n-1}, with (M x)_0 = 0."""
-    out = mx.copy(order="F")
-    out[1:] -= mx[:-1]
+def time_difference(mx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """K x from the block M x: (M x)_n - (M x)_{n-1}, with (M x)_0 = 0.
+
+    Written to out when given (not mx itself), else to a new Fortran-order
+    block; one pass either way.
+    """
+    if out is None:
+        out = np.empty(mx.shape, order="F")
+    out[0] = mx[0]
+    np.subtract(mx[1:], mx[:-1], out=out[1:])
     return out
 
 
-def time_difference_t(mx: np.ndarray) -> np.ndarray:
-    """K' x from the block M x: (M x)_n - (M x)_{n+1}, with (M x)_{N+1} = 0."""
-    out = mx.copy(order="F")
-    out[:-1] -= mx[1:]
+def time_difference_t(mx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """K' x from the block M x: (M x)_n - (M x)_{n+1}, with (M x)_{N+1} = 0.
+
+    Written to out when given (not mx itself), else to a new Fortran-order
+    block; one pass either way.
+    """
+    if out is None:
+        out = np.empty(mx.shape, order="F")
+    out[-1] = mx[-1]
+    np.subtract(mx[:-1], mx[1:], out=out[:-1])
     return out
 
 
@@ -61,8 +73,8 @@ class BlockDiagSolver:
 
     One solver per group of ``spec.step_groups``, applied once per block to
     the columns of its steps; the scales fold into the per-step divisor.
-    ``spatial_seconds`` accumulates the wall time of those solves, read on
-    the calling thread.
+    ``spatial_seconds`` accumulates the wall time of those solves: all of
+    it outside a pool task, its share in one (``parallel.add_seconds``).
     """
 
     def __init__(self, spec: ProblemSpec, kind: str = "direct",
@@ -88,8 +100,10 @@ class BlockDiagSolver:
         ``block_columns`` steps, spread over the threads.
 
         With ``weights``, b is a Fortran-order block held in a spatial basis
-        in which A_bd multiplies by these (N, dim) weights: the solve is
-        b / weights, spread over the threads by spatial mode.
+        in which A_bd multiplies by these weights, one column per spatial
+        mode: the solve is b / weights, spread over the threads by mode.
+        b may be a slab of the modes, with the same columns of the weights;
+        in a pool task the division runs inline.
         """
         if weights is not None:
             out = np.empty(b.shape, order="F")
@@ -99,7 +113,7 @@ class BlockDiagSolver:
 
             start = time.perf_counter()
             parallel.chunk_map(modes, b.shape[1])
-            self.spatial_seconds += time.perf_counter() - start
+            parallel.add_seconds(self, "spatial_seconds", time.perf_counter() - start)
             return out
         bt = np.asarray(b, dtype=np.float64).T
         out = np.empty(bt.shape).T
@@ -117,7 +131,7 @@ class BlockDiagSolver:
 
         start = time.perf_counter()
         parallel.block_map(task, len(tasks))
-        self.spatial_seconds += time.perf_counter() - start
+        parallel.add_seconds(self, "spatial_seconds", time.perf_counter() - start)
         return out
 
 

@@ -69,12 +69,12 @@ class SchurPreconditioner:
     ``blocks[k]`` and ``solvers[k]`` give the per-mode operators and solvers;
     unless the direct kind factorized each mode they are built on access, the
     inexact solvers as column views of the batched one.  With the
-    eigenbasis, ``apply_inverse`` also applies the same inverse to blocks
-    held as coefficients in that basis.
+    eigenbasis, ``apply_inverse`` also applies the same inverse to a slab of
+    spatial modes of a block held as coefficients in that basis.
 
     ``fft_seconds`` and ``spatial_seconds`` accumulate the wall time that
-    ``apply_inverse`` spends in its two DSTs and in its mode stage, read on
-    the calling thread.
+    ``apply_inverse`` spends in its two DSTs and in its mode stage: all of
+    it outside a pool task, its share in one (``parallel.add_seconds``).
     """
 
     def __init__(
@@ -160,41 +160,47 @@ class SchurPreconditioner:
         """Column k of x times H_k, for a (dim, N) block x."""
         return self.mass.dot(x) * self.mu + self._tau_a.dot(x)
 
-    def _check(self, r: np.ndarray) -> np.ndarray:
+    def _check(self, r: np.ndarray, width: int | None = None) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
-        if r.shape != (self.N, self.dim):
+        shape = (self.N, self.dim if width is None else width)
+        if r.shape != shape:
             raise DimensionMismatchError(
-                f"expected block vector of shape {(self.N, self.dim)}, got {r.shape}"
+                f"expected block vector of shape {shape}, got {r.shape}"
             )
         return r
 
-    def apply_inverse(self, r: np.ndarray, eigenbasis: bool = False) -> np.ndarray:
+    def apply_inverse(self, r: np.ndarray, slab: slice | None = None) -> np.ndarray:
         """Approximate Schur-complement inverse: one preconditioner action.
 
-        With ``eigenbasis`` (direct kind with an eigenbasis only), r holds
-        the coefficients r V of a residual and the result is the
+        With ``slab`` (direct kind with an eigenbasis only), r holds the
+        columns ``slab`` of the coefficients r V of a residual, one column
+        per spatial mode, and the result holds the same columns of the
         coefficients y_hat of y = y_hat V'.  The mode stage is diagonal in
-        space there: one product with D between the two DSTs.
+        space there: one product with those columns of D between the two
+        DSTs, which transform each mode on its own.  ``slice(None)`` takes
+        every mode.
         """
-        r = self._check(r)
         stage = self._solve_modes
-        if eigenbasis:
+        if slab is None:
+            r = self._check(r)
+        else:
             if self._d_fortran is None:
                 raise InputError("no eigenbasis: direct kind with dim <= EIG_DIM_LIMIT only")
-            stage = self._scale_modes
+            d = self._d_fortran[:, slab]
+            r = self._check(r, d.shape[1])
+
+            def stage(rhat: np.ndarray) -> np.ndarray:
+                return np.multiply(rhat, d, out=rhat)
+
         t0 = time.perf_counter()
         rhat = self.plan.inverse_transpose(r)
         t1 = time.perf_counter()
         out = stage(rhat)
         t2 = time.perf_counter()
         u = self.plan.inverse(out)
-        self.fft_seconds += (t1 - t0) + (time.perf_counter() - t2)
-        self.spatial_seconds += t2 - t1
+        parallel.add_seconds(self, "fft_seconds", (t1 - t0) + (time.perf_counter() - t2))
+        parallel.add_seconds(self, "spatial_seconds", t2 - t1)
         return u
-
-    def _scale_modes(self, rhat: np.ndarray) -> np.ndarray:
-        """The mode stage in the eigenbasis: rhat times D, in place."""
-        return np.multiply(rhat, self._d_fortran, out=rhat)
 
     def _solve_modes(self, rhat: np.ndarray) -> np.ndarray:
         """(2 tau / N) H_k^-1 A_ref H_k^-1 on mode k (row k) of rhat.

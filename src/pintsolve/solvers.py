@@ -4,7 +4,7 @@ sequential implicit-Euler oracle."""
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +21,23 @@ from .operators import (
 )
 from .problems import ProblemSpec
 from .schur import SchurPreconditioner
+from . import parallel
+
+
+# Largest (N, width) block of one slab of spatial modes in the eigenbasis
+# Uzawa loop: 32 modes at N = 1024, one slab for small problems.  Each slab
+# is one task per iteration, taken in turn by the calling thread and the
+# pool's workers, so smaller slabs cost more calls, and larger ones leave a
+# late worker's whole share to wait for.  Measured (median solve time, one
+# BLAS thread, 2-core host, 2 threads / 1 thread):
+#   1d h=1/128, N=1024: 16 modes 224 / 222 ms, 32 modes 179 / 221, 48 modes
+#     180 / 209, 64 modes 165 / 221, one slab of all 127 modes 317 / 220.
+#   2d h=1/32, N=200: 80 modes 426 / 400 ms, 160 modes 339 / 348, 320 modes
+#     323 / 359, one slab of all 961 modes 471 / 381.
+# 64 modes win back to back on free cores; four slabs bound the wait for a
+# worker that starts late (after a pause between solves) to a quarter of the
+# iteration, and keep the time per iteration steady from run to run.
+SLAB_BYTES = 256 * 1024
 
 
 @dataclass
@@ -48,8 +65,10 @@ class ConvergenceHistory:
 
     ``wall_seconds`` is the time since the iteration loop started;
     ``fft_seconds`` and ``spatial_seconds`` are the parts of it that the
-    preconditioners spent in their DSTs and in their spatial solve stages,
-    clocked on the calling thread, so their sum never exceeds it.
+    preconditioners spent in their DSTs and in their spatial solve stages.
+    A stage outside a pool task counts in full; a stage in one counts
+    duration / get_num_threads() (``parallel.add_seconds``), so their sum
+    never exceeds the wall time on any thread count.
     """
 
     residual: list[float] = field(default_factory=list)
@@ -160,26 +179,43 @@ def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
+_ALL = slice(None)
+
+
 @dataclass(frozen=True)
 class _OperatorSet:
     """What one iteration of Uzawa or MINRES applies, all in one basis: the
     mass and block-diagonal operators and the two preconditioner inverses.
     to_basis maps a nodal iterate into the basis and from_basis maps it
-    back; dual_to_basis maps a nodal right-hand side into the basis."""
+    back; dual_to_basis maps a nodal right-hand side into the basis.
 
-    mass: Callable[[np.ndarray], np.ndarray]
-    abd: Callable[[np.ndarray], np.ndarray]
-    atilde: Callable[[np.ndarray], np.ndarray]
-    htilde: Callable[[np.ndarray], np.ndarray]
+    slabs split the spatial columns into the slices that one Uzawa
+    iteration runs on, one task each, and each of the four operators takes
+    a slab of a block with its columns (every column by default).  The
+    residual sums over each slab along sum_axis: per column (0) when the
+    columns are independent modes, so that the sums do not depend on the
+    slabs, else over the whole block (None)."""
+
+    mass: Callable[..., np.ndarray]
+    abd: Callable[..., np.ndarray]
+    atilde: Callable[..., np.ndarray]
+    htilde: Callable[..., np.ndarray]
     to_basis: Callable[[np.ndarray], np.ndarray] = _identity
     from_basis: Callable[[np.ndarray], np.ndarray] = _identity
     dual_to_basis: Callable[[np.ndarray], np.ndarray] = _identity
+    slabs: tuple[slice, ...] = (_ALL,)
+    sum_axis: int | None = None
 
 
 def _nodal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
                htilde: SchurPreconditioner) -> _OperatorSet:
-    return _OperatorSet(system.apply_M, system.apply_Abd,
-                        atilde.apply_inverse, htilde.apply_inverse)
+    """The nodal operators: one slab, the whole block."""
+    return _OperatorSet(
+        mass=lambda x, cols=_ALL: system.apply_M(x),
+        abd=lambda x, cols=_ALL: system.apply_Abd(x),
+        atilde=lambda r, cols=_ALL: atilde.apply_inverse(r),
+        htilde=lambda r, cols=_ALL: htilde.apply_inverse(r),
+    )
 
 
 def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
@@ -193,7 +229,9 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     tau_n A_n is the (N, dim) weight w_nj = tau_n s_n / (tau_ref s_ref) lam_j,
     and a block x = x_hat V' has coefficients x_hat = x M V (primal: p, u)
     or x V (dual: f and the residuals).  A preconditioner without an
-    ``eigenbasis`` method gives None too.
+    ``eigenbasis`` method gives None too.  Every spatial mode j is then
+    independent but for the residual norm, so the slabs are fixed runs of
+    modes whose (N, width) blocks take at most ``SLAB_BYTES``.
     """
     spec = system.spec
     eigenbasis = getattr(htilde, "eigenbasis", None)
@@ -207,16 +245,20 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     v, lam = basis
     w = np.asfortranarray(
         np.outer(spec.grid.steps * scales / (spec.tau_ref * s_ref), lam))
+    width = max(1, SLAB_BYTES // (8 * spec.N))
     # each map is one product on the (dim, N) view of a Fortran-order block,
     # and returns a Fortran-order block
     return _OperatorSet(
-        mass=_identity,
-        abd=lambda x: w * x,
-        atilde=lambda r: atilde.apply_inverse(r, weights=w),
-        htilde=lambda r: htilde.apply_inverse(r, eigenbasis=True),
+        mass=lambda x, cols=_ALL: x,
+        abd=lambda x, cols=_ALL: w[:, cols] * x,
+        atilde=lambda r, cols=_ALL: atilde.apply_inverse(r, weights=w[:, cols]),
+        htilde=lambda r, cols=_ALL: htilde.apply_inverse(r, slab=cols),
         to_basis=lambda x: (v.T @ spec.mass.dot(x.T)).T,
         from_basis=lambda x: (v @ x.T).T,
         dual_to_basis=lambda x: (v.T @ x.T).T,
+        slabs=tuple(slice(lo, min(lo + width, spec.dim))
+                    for lo in range(0, spec.dim, width)),
+        sum_axis=0,
     )
 
 
@@ -253,10 +295,14 @@ def uzawa_solve(
     Without diagnostics, and when both block solves are exact in the
     eigenbasis of htilde (see ``_modal_set``), the iteration runs on the
     basis coefficients: each iteration is then elementwise products and
-    the two DSTs of htilde, with no spatial product or solve.  Otherwise it
-    runs on nodal values and each iteration makes two mass products (M u,
-    M p) and two of A_bd (p, u).  Both give the same iterates up to
-    rounding.  The iterates are Fortran-order (N, dim) blocks.
+    the two DSTs of htilde, with no spatial product or solve.  The spatial
+    modes are independent there, so each iteration runs whole on cache-sized
+    slabs of them, spread over the pool; the calling thread adds their
+    residual sums mode by mode, so the results depend neither on the
+    thread count nor on the slabs.  Otherwise it runs on nodal values, as
+    one slab on the calling thread, and each iteration makes two mass
+    products (M u, M p) and two of A_bd (p, u).  Both give the same iterates
+    up to rounding.  The iterates are Fortran-order (N, dim) blocks.
     """
     spec = system.spec
     hist = ConvergenceHistory()
@@ -290,22 +336,54 @@ def uzawa_solve(
     if initial is not None:
         p, u = ops.to_basis(p), ops.to_basis(u)
 
+    slabs = ops.slabs
+    # the two residual sums of each slab: per mode, or one for the block
+    sums = np.empty((2, 1 if ops.sum_axis is None else spec.dim))
+
+    def steps(k: int) -> Iterator[None]:
+        """The iteration on the columns slabs[k] of every block, one
+        iteration per next().  Each slab of p and u is a Fortran-order view,
+        updated in place; the three work blocks are the slab's own,
+        allocated once and reused by every iteration."""
+        cols = slabs[k]
+        pk, uk, fk = p[:, cols], u[:, cols], f[:, cols]
+        ku, r1, z = (np.empty(fk.shape, order="F") for _ in range(3))
+        while True:
+            # K u, K' u and K' p are differences of M u and M p along time;
+            # every in-place step below rounds as the expressions
+            # r1 = K u - A_bd p - f and z = f - K' p - (K u + K' u + A_bd u) do
+            mu = ops.mass(uk, cols)
+            time_difference(mu, out=ku)
+            np.subtract(ku, ops.abd(pk, cols), out=r1)
+            r1 -= fk
+            dp = ops.atilde(r1, cols)
+            pk += dp
+            sums[0, cols] = np.sum(np.multiply(r1, dp, out=r1), axis=ops.sum_axis)
+            # r1 is free from here on: it holds K u + K' u + A_bd u, then
+            # omega y
+            np.subtract(fk, time_difference_t(ops.mass(pk, cols), out=z), out=z)
+            time_difference_t(mu, out=r1)
+            r1 += ku
+            r1 += ops.abd(uk, cols)
+            z -= r1
+            y = ops.htilde(z, cols)
+            uk += np.multiply(y, cfg.omega, out=r1)
+            sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=ops.sum_axis)
+            yield
+
+    stepper = [steps(k) for k in range(len(slabs))]
+
     fft0, spatial0 = _clocks(atilde, htilde)
     t0 = time.perf_counter()
     first_res = None
     for _ in range(cfg.max_iter):
-        # K u, K' u and K' p are differences of M u and M p along time
-        mu = ops.mass(u)
-        ku = time_difference(mu)
-        r1 = ku - ops.abd(p) - f
-        dp = ops.atilde(r1)
-        p = p + dp
-        z = f - time_difference_t(ops.mass(p)) - (
-            ku + time_difference_t(mu) + ops.abd(u))
-        y = ops.htilde(z)
-        u = u + cfg.omega * y
-
-        res = float(np.sqrt(max(np.sum(r1 * dp) + np.sum(z * y), 0.0))) / ref
+        if len(slabs) == 1:
+            # on the calling thread, so that its own block maps use the pool
+            next(stepper[0])
+        else:
+            parallel.block_map(lambda k: next(stepper[k]), len(slabs))
+        sum_r1, sum_z = sums.sum(axis=1)
+        res = float(np.sqrt(max(sum_r1 + sum_z, 0.0))) / ref
         if first_res is None:
             first_res = max(res, 1e-300)
         s_err = None
@@ -366,15 +444,16 @@ def minres_solve(
 
     When both block solves are exact in the eigenbasis of htilde (see
     ``_modal_set``), the recurrence runs on the basis coefficients, and p and
-    u are mapped back once at the end.  Its scalars pair a primal block with
-    a dual one and do not depend on the basis; scipy's tests also read
-    ynorm = ||x||_2 of the nodal iterate, which the basis does not preserve.
-    Each iteration therefore tests first with the bound ||x_hat||_2 /
-    sqrt(sigma) >= ||x||_2, sigma a certified floor of M's spectrum (see
-    ``_mass_floor``), and only when some test would stop with it takes the
-    exact ||x_hat V'||_2 and decides on that.  No test can stop for the
-    bound and not for the exact norm, so the stops are scipy's.  Without a
-    floor the exact norm is taken at every iteration.  Otherwise the
+    u are mapped back once at the end: by the exact norm's map when the last
+    stop was decided on it, else by one more product each.  Its scalars pair
+    a primal block with a dual one and do not depend on the basis; scipy's
+    tests also read ynorm = ||x||_2 of the nodal iterate, which the basis
+    does not preserve.  Each iteration therefore tests first with the bound
+    ||x_hat||_2 / sqrt(sigma) >= ||x||_2, sigma a certified floor of M's
+    spectrum (see ``_mass_floor``), and only when some test would stop with
+    it takes the exact ||x_hat V'||_2 and decides on that.  No test can stop
+    for the bound and not for the exact norm, so the stops are scipy's.
+    Without a floor the exact norm is taken at every iteration.  Otherwise the
     recurrence runs on nodal values, with the arithmetic of
     ``system.apply_saddle``.  Both give the same iterates up to rounding.
     """
@@ -464,6 +543,7 @@ def minres_solve(
     r1 = g
     r2 = g
     for itn in range(1, max_iter + 1):
+        nodal = None  # x on nodal values, once the exact norm takes it
         v = y
         v *= 1.0 / beta
         y = matvec(v)
@@ -504,7 +584,8 @@ def minres_solve(
                 istop = stop(itn, np.linalg.norm(x) * bound_scale)
             if istop or not bound_scale:
                 # x.T stacks the blocks p and u: this is ||x||_2 on nodal values
-                istop = stop(itn, np.linalg.norm(ops.from_basis(x.T)))
+                nodal = ops.from_basis(x.T)
+                istop = stop(itn, np.linalg.norm(nodal))
 
         fft, spatial = _clocks(atilde, htilde)
         hist.append(float(phibar / beta1), None, None, time.perf_counter() - t0,
@@ -512,4 +593,6 @@ def minres_solve(
         if istop != 0:
             break
     hist.converged = istop != 6
+    if nodal is not None:
+        return (nodal[..., 0], nodal[..., 1]), hist
     return (ops.from_basis(x[0].T), ops.from_basis(x[1].T)), hist
