@@ -24,11 +24,13 @@ import scipy.fft
 from .errors import DimensionMismatchError
 
 
-def _dst(u: np.ndarray, kind: int, divisor: float, overwrite: bool = False) -> np.ndarray:
-    """scipy's DST of type kind along axis 0 of u, divided by divisor, run
-    on the transposed view."""
+def _dst(u: np.ndarray, kind: int, scale: float = 1.0,
+         overwrite: bool = False) -> np.ndarray:
+    """scipy's DST of type kind along axis 0 of u, times scale, run on the
+    transposed view; a scale of 1 makes no pass."""
     out = scipy.fft.dst(u.T, type=kind, axis=-1, overwrite_x=overwrite)
-    out /= divisor
+    if scale != 1.0:
+        out *= scale
     return out.T
 
 
@@ -62,21 +64,30 @@ class DstPlan:
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Apply the weighted type-III DST (the analysis map)."""
-        return _dst(self._check(u), 3, self.N)
+        out = _dst(self._check(u), 3)
+        out /= self.N
+        return out
 
-    def inverse(self, uhat: np.ndarray) -> np.ndarray:
-        """Apply the type-II DST (the synthesis map)."""
-        return _dst(self._check(uhat), 2, 2.0)
+    def inverse(self, uhat: np.ndarray, scale: float = 0.5) -> np.ndarray:
+        """Apply the type-II DST (the synthesis map).
+
+        scale multiplies scipy's unnormalized transform, which is twice the
+        synthesis map: the default 0.5 gives the map itself, and 1.0 gives
+        twice it with no scaling pass, for a caller that carries the factor
+        elsewhere (a power of two, so either way rounds alike)."""
+        return _dst(self._check(uhat), 2, scale)
 
     def forward_transpose(self, v: np.ndarray) -> np.ndarray:
-        out = _dst(self._check(v), 2, self.N)
+        out = _dst(self._check(v), 2)
+        out /= self.N
         out[-1] *= 0.5
         return out
 
-    def inverse_transpose(self, u: np.ndarray) -> np.ndarray:
+    def inverse_transpose(self, u: np.ndarray, scale: float = 0.5) -> np.ndarray:
+        """Apply the transpose of ``inverse``; scale as there."""
         w = self._check(u).copy(order="F")
         w[-1] *= 2.0
-        return _dst(w, 3, 2.0, overwrite=True)
+        return _dst(w, 3, scale, overwrite=True)
 
     # dense matrix representations, used by test oracles only
     def forward_matrix(self) -> np.ndarray:

@@ -96,7 +96,8 @@ class SchurPreconditioner:
         self._direct: list[SpatialSolver] | None = None
         # (V, lam, D): the direct kind's basis and eigenvalues, and its
         # per-mode spectral weights, with row k of D the diagonal of
-        # V^-1 (2 tau / N) H_k^-1 A H_k^-1 V^-T
+        # V^-1 (tau / (2 N)) H_k^-1 A H_k^-1 V^-T: the mode stage's
+        # 2 tau / N times the 1/4 of the two unscaled DSTs
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # D in Fortran order, the layout of the DST output it multiplies in
         # the eigenbasis (with a C-order D that product measured 8x slower
@@ -142,8 +143,8 @@ class SchurPreconditioner:
         denom = self.mu[:, None] + lam
         if np.any(denom <= 0.0):
             raise NotSpdError("frequency-mode blend is not SPD")
-        # 2 tau / N times lam / (tau (mu_k + lam)^2); tau cancels
-        return v, lam, (2.0 / self.N) * lam / denom**2
+        # tau / (2 N) times lam / (tau (mu_k + lam)^2); tau cancels
+        return v, lam, (0.5 / self.N) * lam / denom**2
 
     def eigenbasis(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray] | None:
         """(V, lam) with tau_ref A_ref V = M V diag(lam) and V' M V = I, when
@@ -179,6 +180,12 @@ class SchurPreconditioner:
         space there: one product with those columns of D between the two
         DSTs, which transform each mode on its own.  ``slice(None)`` takes
         every mode.
+
+        Both DSTs run unscaled (``scale=1.0``), each twice its normalized
+        map, and the mode stage carries their factor 1/4: in D, and in the
+        scale of the per-mode and batched solves.  Scaling by a power of two
+        is exact, so the result is bit-identical to normalized DSTs around
+        the stage 2 tau / N H_k^-1 A_ref H_k^-1, with no scaling pass.
         """
         stage = self._solve_modes
         if slab is None:
@@ -193,17 +200,18 @@ class SchurPreconditioner:
                 return np.multiply(rhat, d, out=rhat)
 
         t0 = time.perf_counter()
-        rhat = self.plan.inverse_transpose(r)
+        rhat = self.plan.inverse_transpose(r, scale=1.0)
         t1 = time.perf_counter()
         out = stage(rhat)
         t2 = time.perf_counter()
-        u = self.plan.inverse(out)
+        u = self.plan.inverse(out, scale=1.0)
         parallel.add_seconds(self, "fft_seconds", (t1 - t0) + (time.perf_counter() - t2))
         parallel.add_seconds(self, "spatial_seconds", t2 - t1)
         return u
 
     def _solve_modes(self, rhat: np.ndarray) -> np.ndarray:
-        """(2 tau / N) H_k^-1 A_ref H_k^-1 on mode k (row k) of rhat.
+        """(tau / (2 N)) H_k^-1 A_ref H_k^-1 on mode k (row k) of rhat: the
+        stage between the two unscaled DSTs of ``apply_inverse``.
 
         The inexact kinds run the whole solve, A_ref product, solve stage on
         column blocks of at most ``batched.block_columns`` modes.
@@ -213,7 +221,7 @@ class SchurPreconditioner:
             # would not be bit-identical across thread counts
             v, _, d = self._eig
             return ((rhat @ v) * d) @ v.T
-        scale = 2.0 * self.tau_ref / self.N
+        scale = 0.5 * self.tau_ref / self.N
         if self.batched is None:
             # one factorization per mode, each solving a contiguous row
             rhat = np.ascontiguousarray(rhat)

@@ -194,7 +194,9 @@ class _OperatorSet:
     a slab of a block with its columns (every column by default).  The
     residual sums over each slab along sum_axis: per column (0) when the
     columns are independent modes, so that the sums do not depend on the
-    slabs, else over the whole block (None)."""
+    slabs, else over the whole block (None).  Both Uzawa bodies, the
+    two-stage one and the Schur complement form, run on any set; the
+    eigenbasis set needs an exact block solve, so it only meets the second."""
 
     mass: Callable[..., np.ndarray]
     abd: Callable[..., np.ndarray]
@@ -292,6 +294,16 @@ def uzawa_solve(
     principal residual after the auxiliary update (both quadratic forms are
     by-products of the updates, so the rule costs no extra solves).
 
+    When atilde is the exact A_bd^-1 (``atilde.inverts(system)``), the
+    iteration is preconditioned Richardson on the Schur complement
+    S = K' A_bd^-1 K + K + K' + A_bd, and it runs in that form: with
+    t = K u - f, p' = A_bd^-1 t, and the Schur residual
+    b_S - S u = -(A_bd + K')(p' + u).  The two residual sums are formed
+    from t, the previous t and p' (see ``schur_steps``), so an iteration makes
+    one A_bd product instead of two.  These are the general body's iterates
+    in exact arithmetic; an inexact atilde (mg, jacobi) runs the general
+    body.
+
     Without diagnostics, and when both block solves are exact in the
     eigenbasis of htilde (see ``_modal_set``), the iteration runs on the
     basis coefficients: each iteration is then elementwise products and
@@ -301,7 +313,8 @@ def uzawa_solve(
     residual sums mode by mode, so the results depend neither on the
     thread count nor on the slabs.  Otherwise it runs on nodal values, as
     one slab on the calling thread, and each iteration makes two mass
-    products (M u, M p) and two of A_bd (p, u).  Both give the same iterates
+    products (M u and M p, or M (p' + u)) and two of A_bd (p, u), or one
+    (p' + u) in Schur complement form.  Both bases give the same iterates
     up to rounding.  The iterates are Fortran-order (N, dim) blocks.
     """
     spec = system.spec
@@ -341,9 +354,9 @@ def uzawa_solve(
     sums = np.empty((2, 1 if ops.sum_axis is None else spec.dim))
 
     def steps(k: int) -> Iterator[None]:
-        """The iteration on the columns slabs[k] of every block, one
-        iteration per next().  Each slab of p and u is a Fortran-order view,
-        updated in place; the three work blocks are the slab's own,
+        """The two-stage iteration on the columns slabs[k] of every block,
+        one iteration per next().  Each slab of p and u is a Fortran-order
+        view, updated in place; the three work blocks are the slab's own,
         allocated once and reused by every iteration."""
         cols = slabs[k]
         pk, uk, fk = p[:, cols], u[:, cols], f[:, cols]
@@ -371,7 +384,44 @@ def uzawa_solve(
             sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=ops.sum_axis)
             yield
 
-    stepper = [steps(k) for k in range(len(slabs))]
+    def schur_steps(k: int) -> Iterator[None]:
+        """The same iteration with the exact Atilde = A_bd^-1, in Schur
+        complement form, on the columns slabs[k]; as ``steps``.
+
+        With t = K u - f, the block solve gives p' = A_bd^-1 t whatever p
+        was, so the auxiliary residual K u - A_bd p - f is t - t_old, where
+        t_old = A_bd p is the previous t (A_bd p0 before the first
+        iteration, so that warm starts hold), and the principal residual is
+        f - K' p' - (K u + K' u + A_bd u) = -(A_bd + K')(p' + u): one A_bd
+        product per iteration instead of two.  z holds its negative
+        S u - b_S, so y is the negative of Htilde^-1 applied to the
+        residual, and u -= omega y; both sums are the same."""
+        cols = slabs[k]
+        pk, uk, fk = p[:, cols], u[:, cols], f[:, cols]
+        t, z = (np.empty(fk.shape, order="F") for _ in range(2))
+        t_old = ops.abd(pk, cols)
+        while True:
+            time_difference(ops.mass(uk, cols), out=t)
+            t -= fk
+            p_new = ops.atilde(t, cols)
+            # (t - t_old) . (p' - p), then p = p' and t_old = t
+            np.subtract(t, t_old, out=t_old)
+            np.subtract(p_new, pk, out=pk)
+            sums[0, cols] = np.sum(np.multiply(t_old, pk, out=t_old),
+                                   axis=ops.sum_axis)
+            np.copyto(pk, p_new)
+            t, t_old = t_old, t
+            # p_new is free from here on: it holds p' + u
+            s = np.add(p_new, uk, out=p_new)
+            time_difference_t(ops.mass(s, cols), out=z)
+            z += ops.abd(s, cols)
+            y = ops.htilde(z, cols)
+            sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=ops.sum_axis)
+            uk -= np.multiply(y, cfg.omega, out=y)
+            yield
+
+    body = schur_steps if atilde.inverts(system) else steps
+    stepper = [body(k) for k in range(len(slabs))]
 
     fft0, spatial0 = _clocks(atilde, htilde)
     t0 = time.perf_counter()

@@ -218,3 +218,59 @@ class TestStorageOrder:
             c, f = apply_inverse(r), apply_inverse(rf)
             assert c.shape == (spec.N, spec.dim)
             assert np.array_equal(c, f)
+
+
+
+class TestUnscaledTransforms:
+    """apply_inverse runs both DSTs unscaled and lets the mode stage carry
+    their factor 1/4; its results are bit-identical to normalized DSTs
+    around the stage 2 tau / N H_k^-1 A_ref H_k^-1."""
+
+    @staticmethod
+    def reference(ht, spec, r, slab=None):
+        rhat = ht.plan.inverse_transpose(r)
+        scale = 2.0 * ht.tau_ref / ht.N
+        eig = ht.eigenbasis(spec)
+        if eig is not None:
+            v, lam = eig
+            d = (2.0 / ht.N) * lam / (ht.mu[:, None] + lam) ** 2
+            if slab is not None:
+                return ht.plan.inverse(rhat * d[:, slab])
+            return ht.plan.inverse(((rhat @ v) * d) @ v.T)
+        if ht.batched is None:
+            rows = np.ascontiguousarray(rhat)
+            out = np.empty_like(rows)
+            for k, s in enumerate(ht.solvers):
+                out[k] = scale * s.apply(spec.a_ref.dot(s.apply(rows[k])))
+            return ht.plan.inverse(out)
+        modes = rhat.T
+        out = np.empty_like(modes, order="C")
+        for cols in ps.parallel.chunks(ht.N, ht.batched.block_columns):
+            s = ht.batched.columns(cols)
+            out[:, cols] = scale * s.apply(spec.a_ref.dot(s.apply(modes[:, cols])))
+        return ht.plan.inverse(out.T)
+
+    @pytest.mark.parametrize("kind,eig_limit", [
+        ("direct", ps.schur.EIG_DIM_LIMIT), ("direct", 0), ("mg", None),
+        ("jacobi", None),
+    ], ids=["eigenbasis", "per-mode-lu", "mg", "jacobi"])
+    @pytest.mark.parametrize("space,cells,N", [("1d", 16, 64), ("2d", 8, 24)])
+    def test_bit_identical_to_normalized_transforms(self, kind, eig_limit, space,
+                                                    cells, N, monkeypatch):
+        if eig_limit is not None:
+            monkeypatch.setattr(ps.schur, "EIG_DIM_LIMIT", eig_limit)
+        # several column blocks for the inexact kinds
+        monkeypatch.setattr(ps.spatial._BlendSolver, "block_columns", 10)
+        grid = ps.build_time_grid("perturbed", N, 1.0, perturbation=0.3, seed=2)
+        spec = ps.make_heat_problem(space, cells, grid, data="zero",
+                                    coeff=lambda t: 1.0 + t)
+        ht = ps.build_schur_preconditioner(spec, kind)
+        eigenbasis = ht.eigenbasis(spec) is not None
+        assert eigenbasis == (kind == "direct" and bool(eig_limit))
+        r = np.asfortranarray(
+            np.random.default_rng(N).standard_normal((spec.N, spec.dim)))
+        assert np.array_equal(ht.apply_inverse(r), self.reference(ht, spec, r))
+        if eigenbasis:
+            for cols in (slice(None), slice(0, 3), slice(3, spec.dim)):
+                assert np.array_equal(ht.apply_inverse(r[:, cols], slab=cols),
+                                      self.reference(ht, spec, r[:, cols], cols))
