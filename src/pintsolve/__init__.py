@@ -17,16 +17,12 @@ from .errors import (
     SolverDivergenceError,
 )
 from .linalg import (
-    DEFAULT_DENSE_EIG_LIMIT,
     LanczosResult,
     SpatialMatrix,
     SpdFactor,
     add_matrices,
-    cholesky_solve,
     dense_generalized_eig_extremal,
     lanczos_extremal_eig,
-    spmv,
-    weighted_norm,
 )
 from .problems import (
     ProblemSpec,

@@ -19,9 +19,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
 
-DEFAULT_DENSE_EIG_LIMIT = 20_000
-
-
 class SpatialMatrix:
     """Sparse symmetric operator on the spatial space.
 
@@ -144,26 +141,6 @@ def add_matrices(a: float, x: SpatialMatrix, b: float, y: SpatialMatrix) -> Spat
     return SpatialMatrix._from_csr(a * x._csr + b * y._csr)
 
 
-def spmv(mat: SpatialMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != mat.dim:
-        raise DimensionMismatchError(
-            f"operator dim {mat.dim} does not match vector dim {x.shape[-1]}"
-        )
-    return mat.dot(x)
-
-
-def weighted_norm(mat: SpatialMatrix, x: np.ndarray) -> float:
-    """Norm sqrt(x' L x) induced by an SPD operator L."""
-    x = np.asarray(x, dtype=np.float64)
-    q = float(x @ spmv(mat, x))
-    if q < 0.0:
-        if q < -1e-14 * float(x @ x):
-            raise NotSpdError("negative quadratic form: operator is not SPD")
-        q = 0.0
-    return np.sqrt(q)
-
-
 class SpdFactor:
     """Cached factorization of an SPD sparse operator.
 
@@ -196,11 +173,6 @@ class SpdFactor:
         return self._lu.solve(b)
 
 
-def cholesky_solve(mat: SpatialMatrix, b: np.ndarray) -> np.ndarray:
-    """Exact solve L x = b for SPD L.  One-shot; cache SpdFactor for reuse."""
-    return SpdFactor(mat).solve(b)
-
-
 def eigh_pencil(a: np.ndarray, b: np.ndarray | None, name: str = "B", **kwargs):
     """``scipy.linalg.eigh(a, b, **kwargs)`` for A symmetric and B SPD.
 
@@ -212,19 +184,11 @@ def eigh_pencil(a: np.ndarray, b: np.ndarray | None, name: str = "B", **kwargs):
         raise NotSpdError(f"{name} is not SPD: {exc}") from exc
 
 
-def dense_generalized_eig_extremal(
-    a: np.ndarray,
-    b: np.ndarray,
-    dense_limit: int = DEFAULT_DENSE_EIG_LIMIT,
-) -> tuple[float, float]:
+def dense_generalized_eig_extremal(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Extremal eigenvalues of A x = lambda B x with A symmetric, B SPD."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = a.shape[0]
-    if n > dense_limit:
-        raise InputError(
-            f"dimension {n} exceeds dense limit {dense_limit}; use the Lanczos path"
-        )
     if a.shape != b.shape or a.shape != (n, n):
         raise DimensionMismatchError("pencil matrices must be square of equal size")
     w = eigh_pencil(a, b, eigvals_only=True)

@@ -157,6 +157,17 @@ class SchurPreconditioner:
         v, lam, _ = self._eig
         return v, lam
 
+    def mode_weights(self) -> np.ndarray | None:
+        """D, the Fortran-order (N, dim) weights of the eigenbasis mode stage,
+        or None without an eigenbasis: D[k, j] = lam_j / (2 N (mu_k + lam_j)^2).
+
+        On coefficients r V with columns ``slab``, ``apply_inverse`` maps
+        column j to 4 Q (D[:, j] * (Q' r_j)), Q the synthesis map
+        ``plan.inverse``: in the DST basis of that map, Htilde^-1 multiplies
+        mode (k, j) by 4 D[k, j].  The array is the one the mode stage reads;
+        do not write to it."""
+        return self._d_fortran
+
     def blend(self, x: np.ndarray) -> np.ndarray:
         """Column k of x times H_k, for a (dim, N) block x."""
         return self.mass.dot(x) * self.mu + self._tau_a.dot(x)

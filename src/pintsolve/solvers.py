@@ -37,6 +37,13 @@ from . import parallel
 # 64 modes win back to back on free cores; four slabs bound the wait for a
 # worker that starts late (after a pause between solves) to a quarter of the
 # iteration, and keep the time per iteration steady from run to run.
+# The body in the DST basis (uniform steps, no coefficient), same host,
+# random data, 15 solves per size (1d) or 9 (2d), 1 thread / 2 threads:
+#   1d h=1/128, N=1024: 16 modes 63 / 69 ms, 32 modes 62 / 71, 64 modes
+#     58 / 68, one slab 64 / 66.
+#   2d h=1/32, N=256: 64 modes 144 / 155 ms, 128 modes 144 / 156, 256 modes
+#     140 / 146, one slab 156 / 158.
+# The differences lie within the quartiles, so the one size serves both.
 SLAB_BYTES = 256 * 1024
 
 
@@ -194,9 +201,15 @@ class _OperatorSet:
     a slab of a block with its columns (every column by default).  The
     residual sums over each slab along sum_axis: per column (0) when the
     columns are independent modes, so that the sums do not depend on the
-    slabs, else over the whole block (None).  Both Uzawa bodies, the
-    two-stage one and the Schur complement form, run on any set; the
-    eigenbasis set needs an exact block solve, so it only meets the second."""
+    slabs, else over the whole block (None).  The two-stage Uzawa body and
+    Schur complement form run on any set; the eigenbasis set needs an exact
+    block solve, so it only meets the second.
+
+    abd_modes holds the (dim,) weights lam_j when A_bd is lam_j times the
+    identity in time on every spatial mode j: the eigenbasis set of a
+    problem whose tau_n A_n is one matrix at every step.  Then the third
+    Uzawa body runs the Schur complement form in the DST basis of Htilde
+    as well (see ``uzawa_solve``)."""
 
     mass: Callable[..., np.ndarray]
     abd: Callable[..., np.ndarray]
@@ -207,6 +220,7 @@ class _OperatorSet:
     dual_to_basis: Callable[[np.ndarray], np.ndarray] = _identity
     slabs: tuple[slice, ...] = (_ALL,)
     sum_axis: int | None = None
+    abd_modes: np.ndarray | None = None
 
 
 def _nodal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
@@ -233,7 +247,9 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     or x V (dual: f and the residuals).  A preconditioner without an
     ``eigenbasis`` method gives None too.  Every spatial mode j is then
     independent but for the residual norm, so the slabs are fixed runs of
-    modes whose (N, width) blocks take at most ``SLAB_BYTES``.
+    modes whose (N, width) blocks take at most ``SLAB_BYTES``.  When
+    tau_n s_n takes one value at every step, w_nj = w_1j, and the set holds
+    that row as ``abd_modes``.
     """
     spec = system.spec
     eigenbasis = getattr(htilde, "eigenbasis", None)
@@ -245,8 +261,8 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     if s_ref is None:
         return None
     v, lam = basis
-    w = np.asfortranarray(
-        np.outer(spec.grid.steps * scales / (spec.tau_ref * s_ref), lam))
+    tau_s = spec.grid.steps * scales
+    w = np.asfortranarray(np.outer(tau_s / (spec.tau_ref * s_ref), lam))
     width = max(1, SLAB_BYTES // (8 * spec.N))
     # each map is one product on the (dim, N) view of a Fortran-order block,
     # and returns a Fortran-order block
@@ -261,6 +277,7 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
         slabs=tuple(slice(lo, min(lo + width, spec.dim))
                     for lo in range(0, spec.dim, width)),
         sum_axis=0,
+        abd_modes=w[0] if np.all(tau_s == tau_s[0]) else None,
     )
 
 
@@ -316,6 +333,16 @@ def uzawa_solve(
     products (M u and M p, or M (p' + u)) and two of A_bd (p, u), or one
     (p' + u) in Schur complement form.  Both bases give the same iterates
     up to rounding.  The iterates are Fortran-order (N, dim) blocks.
+
+    When, in the eigenbasis, tau_n A_n is one matrix at every step
+    (``abd_modes``; uniform steps equal in floating point and no
+    time-dependent coefficient), A_bd is lam_j I in time on spatial mode j,
+    and Schur complement form runs in the DST basis of htilde as well, where
+    the Schur complement of each mode is diagonal plus rank one (see
+    ``dst_steps``): elementwise passes and per-mode sums only, with no DST,
+    no A_bd product and no division in the loop, and no application of
+    either preconditioner but the two of the reference norm, so the clocks
+    stay flat.  Its iterates are those of the other bodies up to rounding.
     """
     spec = system.spec
     hist = ConvergenceHistory()
@@ -420,7 +447,67 @@ def uzawa_solve(
             uk -= np.multiply(y, cfg.omega, out=y)
             yield
 
-    body = schur_steps if atilde.inverts(system) else steps
+    def dst_steps(k: int) -> Iterator[None]:
+        """Schur complement form in the DST basis of Htilde, on the columns
+        slabs[k]; as ``steps``.
+
+        Here A_bd = lam_j I in time on spatial mode j, and K' K = W T, with
+        T the matrix that the synthesis map Q diagonalizes (T Q = Q diag(Lam),
+        Lam = mu^2) and W the half weight on the last step, so that
+        Q' W Q = (N / 2) I and, per mode,
+        Q' S Q = (N / 2) (Lam / lam + Lam + lam) + (1 + lam / 2) c c'
+        with c_k = (-1)^(k+1).  The loop holds v = C Q^-1 u, C = diag(c),
+        in which the rank-one term adds (1 + lam / 2) sum(v) to every row.
+        z holds 4 omega C Q' (S u - b_S), and y = D z is omega C y_hat, with
+        y_hat = Q^-1 Htilde^-1 (S u - b_S).  The auxiliary sum of the next
+        iteration is omega^2 (N / 2) sum (Lam / lam) y_hat^2, because
+        t - t_old = -omega K Q y_hat.  Each iteration updates v by the y of
+        the iteration before, so that after the last one v is the iterate
+        that p is formed from, and u = Q C (v - y)."""
+        cols = slabs[k]
+        lam = ops.abd_modes[cols]
+        vk, bk, dk, yk = v[:, cols], b_hat[:, cols], d[:, cols], y[:, cols]
+        # 4 omega times the diagonal and the rank-one weight of Q' S Q
+        diag = np.empty(vk.shape, order="F")
+        np.multiply(mu2[:, None], 1.0 + 1.0 / lam, out=diag)
+        diag += lam
+        diag *= 2.0 * cfg.omega * spec.N
+        rank_one = 2.0 * cfg.omega * (2.0 + lam)
+        aux = 0.5 * spec.N / lam
+        z = np.empty(vk.shape, order="F")
+        while True:
+            s = rank_one * vk.sum(axis=0)
+            np.multiply(diag, vk, out=z)
+            z -= bk
+            z += s
+            np.multiply(dk, z, out=yk)
+            # einsum reduces each column in one read, the same way on any slab
+            sums[1, cols] = np.einsum("nj,nj->j", z, yk) * z_scale
+            yield
+            vk -= yk
+            sums[0, cols] = aux * np.einsum("nj,nj,n->j", yk, yk, mu2)
+
+    d = None if ops.abd_modes is None else htilde.mode_weights()
+    if d is not None:
+        body = dst_steps
+        plan = htilde.plan
+        mu2 = htilde.mu ** 2
+        z_scale = 0.25 / cfg.omega**2  # z . y is 4 omega^2 times the sum
+        lam = ops.abd_modes
+        # the first auxiliary sum as in schur_steps, from t = K u0 - f and p0
+        t = time_difference(u)
+        t -= f
+        sums[0] = np.sum((t - lam * p) * (t / lam - p), axis=0)
+        del t
+        # 4 omega C Q' b_S with b_S = f + K' A_bd^-1 f, and v = C Q^-1 u0
+        b_hat = plan.inverse_transpose(f + time_difference_t(f / lam),
+                                       scale=2.0 * cfg.omega)
+        b_hat[1::2] *= -1.0
+        v = plan.forward(u)
+        v[1::2] *= -1.0
+        y = np.empty(v.shape, order="F")
+    else:
+        body = schur_steps if atilde.inverts(system) else steps
     stepper = [body(k) for k in range(len(slabs))]
 
     fft0, spatial0 = _clocks(atilde, htilde)
@@ -462,6 +549,17 @@ def uzawa_solve(
         if cfg.stopping == "s_norm_error" and s_err is not None and s_err < cfg.tol:
             hist.converged = True
             break
+    if d is not None:
+        # u and the iterate before it, in one DST; p = A_bd^-1 (K u_prev - f)
+        both = np.empty((spec.N, 2 * spec.dim), order="F")
+        np.subtract(v, y, out=both[:, :spec.dim])
+        both[:, spec.dim:] = v
+        both[1::2] *= -1.0
+        both = plan.inverse(both)
+        u = both[:, :spec.dim]
+        p = time_difference(both[:, spec.dim:])
+        p -= f
+        p /= lam
     return (ops.from_basis(p), ops.from_basis(u)), hist
 
 

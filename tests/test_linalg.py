@@ -120,15 +120,6 @@ class TestAddAndNorm:
             ps.add_matrices(1.0, ps.SpatialMatrix.identity(2), 1.0,
                             ps.SpatialMatrix.identity(3))
 
-    def test_weighted_norm_identity(self):
-        x = np.array([3.0, 4.0])
-        assert ps.weighted_norm(ps.SpatialMatrix.identity(2), x) == pytest.approx(5.0)
-
-    def test_weighted_norm_rejects_indefinite(self):
-        m = ps.SpatialMatrix.from_dense([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(NotSpdError):
-            ps.weighted_norm(m, np.array([0.1, 1.0]))
-
 
 class TestSpdFactor:
     def test_solve_matches_dense(self):
@@ -152,19 +143,11 @@ class TestSpdFactor:
         m = spd_matrix(np.random.default_rng(13), 3)
         with pytest.raises(DimensionMismatchError):
             ps.SpdFactor(m).solve(np.ones(shape))
-        with pytest.raises(DimensionMismatchError):
-            ps.cholesky_solve(m, np.ones(shape))
 
     def test_rejects_indefinite(self):
         m = ps.SpatialMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotSpdError):
             ps.SpdFactor(m)
-
-    def test_cholesky_solve_helper(self):
-        rng = np.random.default_rng(7)
-        m = spd_matrix(rng, 5)
-        b = rng.standard_normal(5)
-        assert np.allclose(ps.cholesky_solve(m, b), np.linalg.solve(m.todense(), b))
 
 
 class TestDenseGeneralizedEig:
@@ -183,12 +166,6 @@ class TestDenseGeneralizedEig:
         ref = scipy.linalg.eigh(a, b, eigvals_only=True)
         assert lo == pytest.approx(ref[0], rel=1e-12)
         assert hi == pytest.approx(ref[-1], rel=1e-12)
-
-    def test_refuses_above_limit(self):
-        with pytest.raises(InputError):
-            ps.dense_generalized_eig_extremal(
-                np.eye(2), np.eye(2), dense_limit=1
-            )
 
 
 class TestLanczos:

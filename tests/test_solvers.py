@@ -290,8 +290,21 @@ class TestHistoryClocks:
         assert np.all(np.diff(spatial) >= 0.0)
         assert np.all(fft + spatial <= wall)
 
+    @staticmethod
+    def check_flat(hist):
+        """The loop in the DST basis applies neither preconditioner, so its
+        clocks stay where the reference norm left them."""
+        fft = np.array(hist.fft_seconds)
+        spatial = np.array(hist.spatial_seconds)
+        wall = np.array(hist.wall_seconds)
+        assert hist.iterations > 1
+        assert np.all(np.diff(fft) == 0.0) and np.all(np.diff(spatial) == 0.0)
+        assert np.all(fft + spatial <= wall)
+
+    # a perturbed grid keeps these two on Schur complement form in the
+    # spatial eigenbasis, whose iterations apply both preconditioners
     def test_uzawa_direct_on_two_threads(self):
-        grid = ps.build_time_grid("uniform", 1024, 1.0)
+        grid = ps.build_time_grid("perturbed", 1024, 1.0, perturbation=0.3, seed=1)
         spec = ps.make_heat_problem("1d", 128, grid, data="sine")
         try:
             ps.set_num_threads(2)
@@ -305,18 +318,33 @@ class TestHistoryClocks:
     def test_uzawa_eigenbasis_slabs_on_three_threads(self):
         # the slabs run on the pool's workers, which add their share of
         # each stage to the clocks
-        grid = ps.build_time_grid("uniform", 1024, 1.0)
+        grid = ps.build_time_grid("perturbed", 1024, 1.0, perturbation=0.3, seed=1)
         spec = ps.make_heat_problem("1d", 128, grid, data="sine")
         try:
             ps.set_num_threads(3)
             system, at, ht = setup(spec)
             ops = ps.solvers._modal_set(system, at, ht)
-            assert len(ops.slabs) > 1
+            assert len(ops.slabs) > 1 and ops.abd_modes is None
             _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(tol=1e-8))
         finally:
             ps.set_num_threads(1)
         assert hist.converged
         self.check(hist)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_uzawa_dst_basis_clocks_stay_flat(self, threads):
+        grid = ps.build_time_grid("uniform", 1024, 1.0)
+        spec = ps.make_heat_problem("1d", 128, grid, data="sine")
+        try:
+            ps.set_num_threads(threads)
+            system, at, ht = setup(spec)
+            ops = ps.solvers._modal_set(system, at, ht)
+            assert len(ops.slabs) > 1 and ops.abd_modes is not None
+            _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(tol=1e-8))
+        finally:
+            ps.set_num_threads(1)
+        assert hist.converged
+        self.check_flat(hist)
 
     def test_overlapping_pool_solves_count_once(self, monkeypatch):
         # a sleeping solve releases the GIL, so the two workers overlap
@@ -534,6 +562,31 @@ def modal_calls(ht):
     return calls
 
 
+def dst_runs(ht):
+    """Count the Uzawa runs in the DST basis of ht from here on: each reads
+    ht's mode weights once, and no other body reads them."""
+    calls = []
+    mode_weights = ht.mode_weights
+
+    def counted():
+        calls.append(1)
+        return mode_weights()
+
+    ht.mode_weights = counted
+    return calls
+
+
+def invariant_spec(rng, space):
+    """A problem whose tau_n A_n is one matrix at every step: uniform steps
+    of 1 / N with N = 2^k on (0, 1), no coefficient, random data."""
+    N = int(2 ** rng.integers(2, 7))
+    cells = int(rng.integers(4, 17)) if space == "1d" else int(2 ** rng.integers(2, 4))
+    grid = ps.build_time_grid("uniform", N, 1.0)
+    assert np.all(grid.steps == 1.0 / N)
+    return ps.make_heat_problem(space, cells, grid, data="random",
+                                seed=int(rng.integers(1 << 30)))
+
+
 def relative(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -592,9 +645,9 @@ class TestEigenbasisPath:
         assert taken > 0
         self.check_agree(spec, modal, nodal)
 
-    def test_one_application_of_each_inverse_per_iteration(self, monkeypatch):
-        # the eigenbasis loop still goes through both apply_inverse methods,
-        # so their clocks, and anything wrapping them, see every application
+    @staticmethod
+    def count_inverses(monkeypatch):
+        """Counts of the applications of Atilde^-1 and Htilde^-1 from here on."""
         counts = {ps.BlockDiagSolver: 0, ps.SchurPreconditioner: 0}
         for cls in counts:
             def counted(self, *args, _cls=cls, _original=cls.apply_inverse, **kwargs):
@@ -602,7 +655,14 @@ class TestEigenbasisPath:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "apply_inverse", counted)
-        grid = ps.build_time_grid("uniform", 16, 1.0)
+        return counts
+
+    def test_one_application_of_each_inverse_per_iteration(self, monkeypatch):
+        # the eigenbasis loop still goes through both apply_inverse methods,
+        # so their clocks, and anything wrapping them, see every application
+        counts = self.count_inverses(monkeypatch)
+        # a perturbed grid keeps the loop in the spatial eigenbasis only
+        grid = ps.build_time_grid("perturbed", 16, 1.0, perturbation=0.3, seed=1)
         spec = ps.make_heat_problem("1d", 16, grid, data="sine")
         system, at, ht = setup(spec)
         calls = modal_calls(ht)
@@ -611,6 +671,17 @@ class TestEigenbasisPath:
         # one of each for the reference norm, then one of each per iteration
         assert list(counts.values()) == [hist.iterations + 1] * 2
         assert at.spatial_seconds > 0.0 and ht.spatial_seconds > 0.0
+
+    def test_dst_basis_applies_each_inverse_once(self, monkeypatch):
+        # in the DST basis only the reference norm applies the two inverses
+        counts = self.count_inverses(monkeypatch)
+        grid = ps.build_time_grid("uniform", 16, 1.0)
+        spec = ps.make_heat_problem("1d", 16, grid, data="sine")
+        system, at, ht = setup(spec)
+        runs = dst_runs(ht)
+        _, hist = ps.uzawa_solve(system, at, ht, ps.UzawaConfig(tol=1e-10))
+        assert hist.converged and hist.iterations > 1 and runs == [1]
+        assert list(counts.values()) == [1, 1]
 
     def test_zero_data(self):
         grid = ps.build_time_grid("perturbed", 8, 1.0, perturbation=0.3, seed=1)
@@ -712,6 +783,98 @@ class TestSchurComplementForm:
         self.check_agree(runs)
 
 
+class TestDstBasis:
+    """When tau_n A_n is one matrix at every step, the eigenbasis loop runs
+    Schur complement form in the DST basis of Htilde as well, where the
+    Schur complement of each spatial mode is diagonal plus rank one.  Its
+    iterates are those of the nodal loop up to rounding; every other
+    problem keeps its body."""
+
+    @staticmethod
+    def both(spec, initial=None):
+        """(run in the DST basis, nodal diagnostics run)."""
+        system, at, ht = setup(spec)
+        calls, runs = modal_calls(ht), dst_runs(ht)
+        cfg = ps.UzawaConfig(omega=ps.safe_damping(spec.alpha), tol=1e-12,
+                             max_iter=800)
+        modal = ps.uzawa_solve(system, at, ht, cfg, initial=initial)
+        nodal = ps.uzawa_solve(system, at, ht,
+                               dataclasses.replace(cfg, diagnostics=True),
+                               initial=initial)
+        # one eigenbasis application of Htilde, for the reference norm
+        assert runs == [1] and calls == [1]
+        return modal, nodal
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(["1d", "2d"]))
+    def test_matches_nodal_and_sweep(self, seed, space, warm):
+        rng = np.random.default_rng(seed)
+        spec = invariant_spec(rng, space)
+        initial = None
+        if warm:
+            initial = (rng.standard_normal((spec.N, spec.dim)),
+                       rng.standard_normal((spec.N, spec.dim)))
+        modal, nodal = self.both(spec, initial)
+        TestEigenbasisPath.check_agree(spec, modal, nodal)
+
+    @pytest.mark.parametrize("space", ["1d", "2d"])
+    def test_capped_runs_match_nodal(self, space):
+        # far from convergence p = A_bd^-1 (K u_prev - f), with u_prev the
+        # iterate before the last update, differs from the one formed from u
+        spec = invariant_spec(np.random.default_rng(7), space)
+        system, at, ht = setup(spec)
+        rng = np.random.default_rng(8)
+        initial = (rng.standard_normal((spec.N, spec.dim)),
+                   rng.standard_normal((spec.N, spec.dim)))
+        runs = dst_runs(ht)
+        for start in (None, initial):
+            for max_iter in (1, 2, 3):
+                cfg = ps.UzawaConfig(max_iter=max_iter)
+                (p1, u1), h1 = ps.uzawa_solve(system, at, ht, cfg, initial=start)
+                (p2, u2), h2 = ps.uzawa_solve(
+                    system, at, ht, dataclasses.replace(cfg, diagnostics=True),
+                    initial=start)
+                assert h1.iterations == h2.iterations == max_iter
+                assert np.allclose(h1.residual, h2.residual, rtol=1e-9, atol=0.0)
+                assert relative(u1, u2) <= 1e-10 and relative(p1, p2) <= 1e-10
+        assert len(runs) == 6
+
+    @pytest.mark.parametrize("case", ["invariant", "perturbed", "coefficient",
+                                      "uniform-100", "per-step", "mg", "jacobi"])
+    def test_selection(self, case):
+        grid = ps.build_time_grid("uniform", 16, 1.0)
+        coeff = None
+        if case == "perturbed":
+            grid = ps.build_time_grid("perturbed", 16, 1.0, perturbation=0.3, seed=1)
+        elif case == "coefficient":
+            coeff = lambda t: 1.0 + t  # noqa: E731
+        elif case == "uniform-100":
+            # equal steps in exact arithmetic, not in floating point
+            grid = ps.build_time_grid("uniform", 100, 1.0)
+            assert len(np.unique(grid.steps)) > 1
+        if case == "per-step":
+            spec = oracle.per_step_spec()
+        else:
+            spec = ps.make_heat_problem("1d", 8, grid, coeff=coeff, data="random",
+                                        seed=4)
+        system, at, ht = setup(spec)
+        if case in ("mg", "jacobi"):
+            at = ps.BlockDiagSolver(spec, case, hierarchy=ps.build_mg_hierarchy("1d", 8))
+        calls, runs = modal_calls(ht), dst_runs(ht)
+        cfg = ps.UzawaConfig(omega=ps.safe_damping(spec.alpha), tol=1e-10,
+                             max_iter=40)
+        _, hist = ps.uzawa_solve(system, at, ht, cfg)
+        assert hist.iterations > 5
+        if case == "invariant":
+            assert runs == [1] and calls == [1]
+        elif case in ("perturbed", "coefficient", "uniform-100"):
+            # Schur complement form in the spatial eigenbasis, one slab
+            assert not runs and len(calls) == hist.iterations + 1
+        else:
+            assert not runs and not calls
+
+
 class TestSlabs:
     """The eigenbasis Uzawa loop runs each iteration on slabs of spatial
     modes; neither the slabs nor the thread count change any result."""
@@ -733,9 +896,7 @@ class TestSlabs:
         finally:
             ps.set_num_threads(1)
 
-    @pytest.mark.parametrize("seed,space", [(3, "1d"), (8, "1d"), (5, "2d"), (6, "2d")])
-    def test_slabs_and_threads_give_identical_runs(self, seed, space, monkeypatch):
-        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+    def check_identical_runs(self, spec, monkeypatch):
         assert spec.dim > 5
         (p0, u0), h0 = self.run(spec, spec.dim, 1, monkeypatch)
         assert h0.converged and h0.iterations > 5
@@ -746,6 +907,18 @@ class TestSlabs:
                 assert hist.iterations == h0.iterations
                 assert hist.residual == h0.residual
                 assert np.array_equal(p, p0) and np.array_equal(u, u0)
+
+    @pytest.mark.parametrize("seed,space", [(3, "1d"), (8, "1d"), (5, "2d"), (6, "2d")])
+    def test_slabs_and_threads_give_identical_runs(self, seed, space, monkeypatch):
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+        self.check_identical_runs(spec, monkeypatch)
+
+    @pytest.mark.parametrize("seed,space", [(1, "1d"), (2, "1d"), (3, "2d"), (4, "2d")])
+    def test_dst_basis_slabs_and_threads_give_identical_runs(self, seed, space,
+                                                             monkeypatch):
+        spec = invariant_spec(np.random.default_rng(seed), space)
+        assert ps.solvers._modal_set(*setup(spec)).abd_modes is not None
+        self.check_identical_runs(spec, monkeypatch)
 
     def test_slab_size(self):
         # 256 KiB blocks: 32 modes at N = 1024, every mode at once when small
