@@ -21,7 +21,6 @@ from .linalg import (
     SpatialMatrix,
     SpdFactor,
     add_matrices,
-    dense_generalized_eig_extremal,
     lanczos_extremal_eig,
 )
 from .problems import (

@@ -3,8 +3,8 @@
 Subcommands: solve, table1, table2, history, spectral-check, scaling.
 All tabular output is CSV, written to --out or stdout.  Exit codes:
 0 success, 1 bad input, 2 spectral bound violation, 3 solver divergence,
-4 iteration limit reached without convergence (solve and history still
-write the history, table2 the table).
+4 a solve or Lanczos run stopped at its cap without converging (the CSV is
+still written, with one stderr line per such run).
 """
 
 from __future__ import annotations
@@ -129,6 +129,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the columns that name one run of a row driver; a run's rows share `converged`
+_RUN_COLUMNS = {"table1": ("h", "N"), "table2": ("h", "N", "iterations"),
+                "history": ("solver",), "spectral-check": ("lam_lo", "lam_hi")}
+
+
 def _cmd_solve(args) -> tuple[str, bool]:
     """The solve output and whether the solve converged."""
     if args.problem_file:
@@ -202,22 +207,11 @@ def main(argv: list[str] | None = None) -> int:
             rows = bench.run_table2(args.h, args.N, T=args.T, omega=args.omega,
                                     tol=args.tol, vcycles=args.vcycles)
             text = bench.rows_to_csv(bench.TABLE2_CSV_HEADER, rows)
-            for row in rows:
-                if not row["converged"]:
-                    converged = False
-                    sys.stderr.write(f"not converged: h={row['h']} N={row['N']} "
-                                     f"after {row['iterations']} iterations\n")
         elif args.command == "history":
             rows = bench.run_history(N=args.N, cells=args.h, space=args.space,
                                      T=args.T, omega=args.omega, tol=args.tol,
                                      max_iter=args.max_iter)
             text = bench.rows_to_csv(bench.HISTORY_CSV_HEADER, rows)
-            stalled = {row["solver"]: row["iter"] for row in rows
-                       if not row["converged"]}
-            for solver, iterations in stalled.items():
-                converged = False
-                sys.stderr.write(f"not converged: {solver} "
-                                 f"after {iterations} iterations\n")
         elif args.command == "spectral-check":
             rows = bench.run_spectral_check(N=args.N, cells=args.h,
                                             space=args.space, T=args.T,
@@ -231,6 +225,13 @@ def main(argv: list[str] | None = None) -> int:
             text = bench.rows_to_csv(bench.SCALING_CSV_HEADER, rows)
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command!r}")
+        if args.command in _RUN_COLUMNS:  # one stderr line per unconverged run
+            stalled = dict.fromkeys(
+                " ".join(f"{c}={row[c]}" for c in _RUN_COLUMNS[args.command])
+                for row in rows if not row["converged"])
+            for run in stalled:
+                sys.stderr.write(f"not converged: {run}\n")
+            converged = not stalled
     except (InputError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

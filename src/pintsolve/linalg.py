@@ -184,22 +184,14 @@ def eigh_pencil(a: np.ndarray, b: np.ndarray | None, name: str = "B", **kwargs):
         raise NotSpdError(f"{name} is not SPD: {exc}") from exc
 
 
-def dense_generalized_eig_extremal(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Extremal eigenvalues of A x = lambda B x with A symmetric, B SPD."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != b.shape or a.shape != (n, n):
-        raise DimensionMismatchError("pencil matrices must be square of equal size")
-    w = eigh_pencil(a, b, eigvals_only=True)
-    return float(w[0]), float(w[-1])
-
-
 class LanczosResult(NamedTuple):
+    """Extremal Ritz values and how the run ended (see lanczos_extremal_eig)."""
+
     lam_min: float
     lam_max: float
     breakdown: bool
     iterations: int
+    converged: bool
 
 
 def _tridiagonal_extremes(
@@ -236,15 +228,18 @@ def lanczos_extremal_eig(
     (n, m) blocks whose column c depends on column c of the input only.  The
     result is the extremes over all columns.
 
-    Every recurrence is fully reorthogonalized.  The run stops once both
-    extremes have stagnated to 1e-11 (relative) over three consecutive steps,
-    or when every column has exhausted its Krylov space (breakdown);
-    ``iterations`` counts the steps of the longest recurrence.
+    Every recurrence is fully reorthogonalized, so it exhausts its Krylov
+    space within n steps.  The run stops once both extremes have stagnated
+    to 1e-11 (relative) over three consecutive steps, when every column has
+    exhausted its Krylov space (``breakdown``), or after ``iters`` steps;
+    ``converged`` is False when it took all ``iters`` steps without breaking
+    down.  ``iterations`` counts the steps of the longest recurrence.
     """
     if iters < 2:
         raise InputError("lanczos needs at least 2 iterations")
     shape = np.shape(x0)
     n = shape[0]
+    iters = min(iters, n)
 
     def call(op, rows: np.ndarray) -> np.ndarray:  # op on one row per recurrence
         return np.asarray(op(rows.T.reshape(shape)), dtype=np.float64).reshape(n, -1).T
@@ -287,8 +282,8 @@ def lanczos_extremal_eig(
         alphas[active, j] = alpha[active]
         steps[active] += 1
         hist.append(_tridiagonal_extremes(alphas[:, : j + 1], betas[:, : j + 1], steps))
-        active &= beta > 1e-13 * np.maximum(1.0, np.abs(alpha))
-        if not active.any() or j == iters - 1:
+        active &= (beta > 1e-13 * np.maximum(1.0, np.abs(alpha))) & (steps < n)
+        if not active.any():
             break
         if len(hist) >= 4:
             drift = np.abs(np.subtract(hist[-4:-1], hist[-1]))
@@ -299,4 +294,6 @@ def lanczos_extremal_eig(
         # records nothing more
         beta = np.where(active, beta, np.inf)[:, None]
     lo, hi = hist[-1]
-    return LanczosResult(float(lo), float(hi), not active.any(), int(steps.max()))
+    breakdown = not active.any()
+    return LanczosResult(float(lo), float(hi), breakdown, int(steps.max()),
+                         breakdown or len(hist) < iters)

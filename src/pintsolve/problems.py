@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import SpatialMatrix, dense_generalized_eig_extremal
+from .linalg import SpatialMatrix, eigh_pencil
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,8 @@ def compute_alpha(
         if ref_scale is not None:
             lo = hi = scales / ref_scale
         else:
-            lo, hi = dense_generalized_eig_extremal(base.todense(), a_ref.todense())
-            lo, hi = lo * scales, hi * scales
+            w = eigh_pencil(base.todense(), a_ref.todense(), eigvals_only=True)
+            lo, hi = w[0] * scales, w[-1] * scales
         taus = grid.steps[steps]
         lo, hi = lo * taus / tau_ref, hi * taus / tau_ref
         alpha = max(alpha, np.max(hi), np.max(1.0 / lo))

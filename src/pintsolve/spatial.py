@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import SpatialMatrix, SpdFactor, eigh_pencil, lanczos_extremal_eig
+from .linalg import LanczosResult, SpatialMatrix, SpdFactor, eigh_pencil, lanczos_extremal_eig
 
 # Columns per block of the inexact kinds.  The V-cycle (or Jacobi)
 # temporaries made from a block are then small enough for the allocator to
@@ -324,11 +324,11 @@ def estimate_gamma_Gamma(
     a: SpatialMatrix,
     x0: np.ndarray,
     iters: int = 200,
-) -> tuple[float, float]:
+) -> LanczosResult:
     """Extremal eigenvalues of the squared-preconditioner pencil.
 
-    Returns the extremal generalized eigenvalues comparing H A^-1 H against
-    its approximation built from the solver; (1, 1) for exact solves.
+    Returns the Lanczos run whose extremes compare H A^-1 H against its
+    approximation built from the solver; (1, 1) for exact solves.
     ``blend`` applies H.  With a (dim, m) start block ``x0`` it applies one
     member H_j of a family per column, ``solver`` solves that family, and
     the result is the extremes over the whole family.
@@ -341,8 +341,7 @@ def estimate_gamma_Gamma(
     def op(x: np.ndarray) -> np.ndarray:  # approx-inverse times exact
         return solver.apply(a.dot(solver.apply(weight(x))))
 
-    res = lanczos_extremal_eig(op, weight, x0, iters)
-    return res.lam_min, res.lam_max
+    return lanczos_extremal_eig(op, weight, x0, iters)
 
 
 def materialize_inverse(solver: SpatialSolver, dim: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import scipy.linalg
 import pintsolve
 import pintsolve.bench as bench
 from pintsolve.cli import main
+from pintsolve.operators import dense_operator
 from pintsolve.spatial import materialize_inverse
 
 import conftest as oracle
@@ -24,6 +25,7 @@ class TestBenchDrivers:
             assert 0.5 < r["lambda_min"] < 1.0
             assert 1.0 < r["lambda_max"] < 2.0
             assert r["kappa"] == pytest.approx(r["lambda_max"] / r["lambda_min"])
+            assert r["converged"]
         # conditioning degrades monotonically with more time steps
         assert rows[1]["kappa"] > rows[0]["kappa"]
 
@@ -104,6 +106,24 @@ class TestBenchDrivers:
         assert rows[0]["pass"] == 1
         assert rows[0]["gamma"] == pytest.approx(gamma, rel=1e-6)
         assert rows[0]["Gamma"] == pytest.approx(big_gamma, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    @pytest.mark.parametrize("space,cells,N", [("2d", 8, 16), ("1d", 16, 12)])
+    def test_spectral_check_inexact_matches_dense_pencil(self, space, cells, N,
+                                                         kind):
+        row = bench.run_spectral_check(N=N, cells=cells, space=space,
+                                       solver_kind=kind)[0]
+        grid = pintsolve.build_time_grid("uniform", N, 1.0)
+        spec = pintsolve.make_heat_problem(space, cells, grid, data="zero")
+        ht = pintsolve.build_schur_preconditioner(spec, kind)
+        h_mat = dense_operator(ht.apply_inverse, N, spec.dim)
+        w = scipy.linalg.eigh(oracle.dense_schur(spec),
+                              np.linalg.inv(0.5 * (h_mat + h_mat.T)),
+                              eigvals_only=True)
+        assert row["pass"] == 1
+        assert row["converged"]
+        assert row["lam_lo"] == pytest.approx(w[0], abs=1e-9)
+        assert row["lam_hi"] == pytest.approx(w[-1], abs=1e-9)
 
     @pytest.mark.parametrize("cells", [8, 16])
     def test_table1_matches_dense_pencil(self, cells):
@@ -250,6 +270,25 @@ class TestCli:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 3
         assert all("not converged" in line for line in err)
+
+    @pytest.mark.parametrize("command", ["table1", "spectral-check"])
+    def test_lanczos_cap_exit_four(self, tmp_path, capsys, monkeypatch, command):
+        # a basis budget of three steps stops every Lanczos run at its cap;
+        # the direct kind's bounds hold for any Ritz values
+        monkeypatch.setattr(bench, "LANCZOS_BASIS_BYTES", 3 * 16 * 16 * 7)
+        out = tmp_path / "rows.csv"
+        args = {"table1": ["table1", "--h", "8", "--N", "16"],
+                "spectral-check": ["spectral-check", "--space", "1d", "--h", "8",
+                                   "--N", "16", "--solver", "direct"]}[command]
+        rc = main(args + ["--out", str(out)])
+        assert rc == 4
+        # the CSV is still written, with the columns of the header only
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] in (bench.TABLE1_CSV_HEADER, bench.SPECTRAL_CSV_HEADER)
+        assert len(lines) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert err[0].startswith("not converged: ")
 
     @staticmethod
     def varcoef_problem_lines(tmp_path) -> list[str]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -150,24 +152,6 @@ class TestSpdFactor:
             ps.SpdFactor(m)
 
 
-class TestDenseGeneralizedEig:
-    def test_diagonal_pencil(self):
-        a = np.diag([1.0, 5.0, 2.0])
-        b = np.eye(3)
-        lo, hi = ps.dense_generalized_eig_extremal(a, b)
-        assert lo == pytest.approx(1.0)
-        assert hi == pytest.approx(5.0)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(8)
-        a = spd_matrix(rng, 10).todense()
-        b = spd_matrix(rng, 10).todense()
-        lo, hi = ps.dense_generalized_eig_extremal(a, b)
-        ref = scipy.linalg.eigh(a, b, eigvals_only=True)
-        assert lo == pytest.approx(ref[0], rel=1e-12)
-        assert hi == pytest.approx(ref[-1], rel=1e-12)
-
-
 class TestLanczos:
     def test_matches_dense_on_random_pencil(self):
         rng = np.random.default_rng(9)
@@ -222,6 +206,45 @@ class TestLanczos:
         )
         assert res.breakdown
         assert res.lam_min == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("case", ["cap", "stagnation", "breakdown"])
+    def test_converged_says_how_the_run_ended(self, case):
+        # a clustered spectrum needs many steps, isolated extremes few, and
+        # a start vector in a 3-dimensional invariant subspace breaks down
+        ev = {
+            "cap": np.linspace(1.0, 2.0, 200),
+            "stagnation": np.concatenate([[0.01], np.linspace(1.0, 2.0, 198), [100.0]]),
+            "breakdown": np.arange(1.0, 201.0),
+        }[case]
+        x0 = np.random.default_rng(16).standard_normal(200)
+        if case == "breakdown":
+            x0[3:] = 0.0
+        res = ps.lanczos_extremal_eig(lambda x: ev * x, lambda x: x, x0, iters=40)
+        assert res.converged == (case != "cap")
+        assert res.breakdown == (case == "breakdown")
+        assert (res.iterations == 40) == (case == "cap")
+        if case == "stagnation":
+            assert res.lam_min == pytest.approx(0.01, rel=1e-10)
+            assert res.lam_max == pytest.approx(100.0, rel=1e-10)
+
+    def test_run_ends_when_krylov_space_is_exhausted(self):
+        # n steps span the whole space: a cap above n is never reached, and
+        # the basis is sized for n steps (the cap's would take 192 MB)
+        rng = np.random.default_rng(17)
+        a = spd_matrix(rng, 12).todense()
+        ref = np.linalg.eigvalsh(a)
+        tracemalloc.start()
+        try:
+            res = ps.lanczos_extremal_eig(lambda x: a @ x, lambda x: x,
+                                          rng.standard_normal(12), iters=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert res.converged
+        assert res.iterations <= 12
+        assert res.lam_min == pytest.approx(ref[0], abs=1e-12)
+        assert res.lam_max == pytest.approx(ref[-1], abs=1e-12)
 
     def test_block_start_matches_dense_union(self):
         # one recurrence per column, each column its own pencil; the result

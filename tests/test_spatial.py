@@ -130,7 +130,8 @@ class TestPreconditionerQualityEstimates:
         h_k = ps.add_matrices(0.3, mass, 0.1, stiff)
         solver = ps.make_solver(h_k, "direct")
         x0 = np.random.default_rng(0).standard_normal(h_k.dim)
-        lo, hi = ps.estimate_gamma_Gamma(h_k.dot, solver, stiff, x0)
+        res = ps.estimate_gamma_Gamma(h_k.dot, solver, stiff, x0)
+        lo, hi = res.lam_min, res.lam_max
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
@@ -150,6 +151,7 @@ class TestPreconditionerQualityEstimates:
         w = scipy.linalg.eigh(exact, np.linalg.inv(0.5 * (approx + approx.T)),
                               eigvals_only=True)
         x0 = np.random.default_rng(0).standard_normal(h_k.dim)
-        lo, hi = ps.estimate_gamma_Gamma(h_k.dot, solver, stiff, x0, iters=100)
+        res = ps.estimate_gamma_Gamma(h_k.dot, solver, stiff, x0, iters=100)
+        lo, hi = res.lam_min, res.lam_max
         assert lo == pytest.approx(w[0], rel=1e-6)
         assert hi == pytest.approx(w[-1], rel=1e-6)
