@@ -58,10 +58,15 @@ def _schur_spectrum(spec: ProblemSpec, seed: int) -> LanczosResult:
     With A_ref V = M V diag(lam) and V' M V = I, S and H~ both split into one
     N x N pencil per spatial mode: one Lanczos recurrence runs on each column
     j of X, mode j of u = X V', through X -> H~^-1 S(X V') M V weighted by
-    X -> H~(X V') V."""
+    X -> H~(X V') V.  V is the preconditioner's own eigenbasis of
+    (tau_ref A_ref, M) when it holds one."""
     system = TimeGlobalSystem(spec, diagnostic=True)
     ht = SchurPreconditioner(spec, solver_kind="direct")
-    _, v = eigh_pencil(spec.a_ref.todense(), spec.mass.todense(), name="mass matrix")
+    basis = ht.eigenbasis(spec)
+    if basis is None:
+        _, v = eigh_pencil(spec.a_ref.todense(), spec.mass.todense(), name="mass matrix")
+    else:
+        v, _ = basis
     mv = spec.mass.dot(v)
     x0 = np.random.default_rng(seed).standard_normal((spec.N, spec.dim))
     return lanczos_extremal_eig(

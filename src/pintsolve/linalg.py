@@ -173,12 +173,99 @@ class SpdFactor:
         return self._lu.solve(b)
 
 
+# the keyword arguments of eigh_pencil that the split into half pencils keeps
+_SPLIT_KWARGS = frozenset({"eigvals_only", "overwrite_a", "overwrite_b"})
+
+
+def _centrosymmetric(m) -> bool:
+    """m is a float64 matrix of dim >= 4 that equals, exactly, its transpose
+    and its index-reversed self m[::-1, ::-1]."""
+    return (
+        isinstance(m, np.ndarray) and m.dtype == np.float64 and m.ndim == 2
+        and m.shape[0] == m.shape[1] >= 4
+        and np.array_equal(m, m[::-1, ::-1]) and np.array_equal(m, m.T)
+    )
+
+
+def _half(m: np.ndarray, even: bool) -> np.ndarray:
+    """The block of a symmetric centrosymmetric m on its even or odd vectors.
+
+    With h = dim // 2, the even vectors are (e_i + e_{dim-1-i}) / sqrt 2 for
+    i < h, plus e_h for odd dim, the odd ones (e_i - e_{dim-1-i}) / sqrt 2:
+    the block is L + R, bordered by sqrt 2 m[:h, h] and m[h, h] for odd dim,
+    or L - R, with L = m[:h, :h] and R = m[:h, :-h-1:-1].  It is exactly
+    symmetric, so its transpose is the same block in Fortran order.
+    """
+    dim = m.shape[0]
+    h = dim // 2
+    size = h + dim % 2 if even else h
+    out = np.empty((size, size))
+    (np.add if even else np.subtract)(m[:h, :h], m[:h, : -h - 1 : -1], out=out[:h, :h])
+    if size > h:
+        out[h, :h] = out[:h, h] = np.sqrt(2.0) * m[h, :h]
+        out[h, h] = m[h, h]
+    return out.T
+
+
+def _eigh_split(a: np.ndarray, b: np.ndarray | None, eigvals_only: bool):
+    """eigh of a symmetric centrosymmetric pencil as two half-size pencils."""
+    # each half block lives only through its own solve, which may overwrite it
+    halves = [
+        scipy.linalg.eigh(
+            _half(a, even), None if b is None else _half(b, even),
+            eigvals_only=eigvals_only, overwrite_a=True, overwrite_b=True,
+        )
+        for even in (True, False)
+    ]
+    if eigvals_only:
+        return np.sort(np.concatenate(halves))
+    (lam_even, y_even), (lam_odd, y_odd) = halves
+    lam = np.concatenate([lam_even, lam_odd])
+    order = np.argsort(lam, kind="stable")
+    dim = a.shape[0]
+    h = dim // 2
+    # column of V that each half eigenvector becomes
+    column = np.empty(dim, dtype=np.intp)
+    column[order] = np.arange(dim)
+    even_cols, odd_cols = column[: dim - h], column[dim - h :]
+    v = np.empty((dim, dim), order="F")
+    y_even[:h] *= np.sqrt(0.5)
+    v[:h, even_cols] = y_even[:h]
+    v[: -h - 1 : -1, even_cols] = y_even[:h]
+    if dim % 2:
+        v[h, even_cols] = y_even[h]
+        v[h, odd_cols] = 0.0
+    y_odd *= np.sqrt(0.5)
+    v[:h, odd_cols] = y_odd
+    v[: -h - 1 : -1, odd_cols] = np.negative(y_odd, out=y_odd)
+    return lam[order], v
+
+
 def eigh_pencil(a: np.ndarray, b: np.ndarray | None, name: str = "B", **kwargs):
     """``scipy.linalg.eigh(a, b, **kwargs)`` for A symmetric and B SPD.
 
-    Raises NotSpdError, naming B, when B has no Cholesky factor.
+    A pencil of centrosymmetric matrices, each equal to its index-reversed
+    self, splits into two half-size pencils (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976): one on the even vectors (e_i + e_{dim-1-i}) /
+    sqrt 2, plus e_h for odd dim, h = dim // 2, and one on the odd vectors
+    (e_i - e_{dim-1-i}) / sqrt 2.  Every assembled mesh gives such a pencil.
+    When A, and B unless it is None, are float64, of dim >= 4 and equal both
+    their transposes and their index-reversed selves exactly (O(dim^2)
+    comparisons), and ``kwargs`` holds at most ``eigvals_only``,
+    ``overwrite_a`` and ``overwrite_b``, each half runs one scipy eigh, a
+    quarter of the flops of the whole.  The eigenvalues come back merged in
+    ascending order (a stable sort, even half first on ties) and V, in
+    Fortran order as scipy returns it, has its columns in that order with
+    V' B V = I; the inputs are never overwritten.  Any other pencil runs one
+    scipy eigh, unchanged.
+
+    Raises NotSpdError, naming B, when B has no Cholesky factor; a split B
+    has one exactly when both its halves do.
     """
     try:
+        if (_SPLIT_KWARGS.issuperset(kwargs) and _centrosymmetric(a)
+                and (b is None or (_centrosymmetric(b) and b.shape == a.shape))):
+            return _eigh_split(a, b, kwargs.get("eigvals_only", False))
         return scipy.linalg.eigh(a, b, **kwargs)
     except scipy.linalg.LinAlgError as exc:
         raise NotSpdError(f"{name} is not SPD: {exc}") from exc

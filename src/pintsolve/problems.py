@@ -99,7 +99,8 @@ def assemble_mass_stiffness_2d(cells_per_side: int) -> tuple[SpatialMatrix, Spat
     Each grid cell is split along the diagonal from its lower-left to its
     upper-right corner; homogeneous Dirichlet unknowns are the interior nodes.
     Assembled from index arrays in element order (cells row by row, two
-    triangles each), keeping only the entries between interior nodes.
+    triangles each), keeping only the entries between interior nodes.  The
+    exact-zero ll-ur couplings of the stiffness element are not stored.
     """
     if cells_per_side < 2:
         raise InputError("need at least 2 cells per side")
@@ -121,9 +122,9 @@ def assemble_mass_stiffness_2d(cells_per_side: int) -> tuple[SpatialMatrix, Spat
 
     def assemble(element: np.ndarray) -> SpatialMatrix:
         vals = np.tile(element.ravel(), len(tris))[keep]
-        return SpatialMatrix._from_csr(
-            sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        )
+        csr = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        csr.eliminate_zeros()
+        return SpatialMatrix._from_csr(csr)
 
     return assemble(area * _MASS_EL), assemble(_STIFF_EL)
 

@@ -30,7 +30,8 @@ def pytest_collection_modifyitems(config, items):
 
 def loop_assembly_2d(cells):
     """(M, A) of ``assemble_mass_stiffness_2d`` by a loop over the triangles:
-    the boundary-inclusive matrices, then their interior block."""
+    the boundary-inclusive matrices without their exact zeros, then their
+    interior block."""
     c = cells
     h = 1.0 / c
     nn = (c + 1) * (c + 1)
@@ -59,13 +60,12 @@ def loop_assembly_2d(cells):
     interior = np.array(
         [node(i, j) for j in range(1, c) for i in range(1, c)], dtype=np.int64
     )
-    return tuple(
-        ps.SpatialMatrix.from_sparse(
-            sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn))
-            .tocsr()[np.ix_(interior, interior)]
-        )
-        for vals in (m_vals, a_vals)
-    )
+    out = []
+    for vals in (m_vals, a_vals):
+        full = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
+        full.eliminate_zeros()  # the stiffness element's ll-ur couplings
+        out.append(ps.SpatialMatrix.from_sparse(full[np.ix_(interior, interior)]))
+    return tuple(out)
 
 
 def loop_prolongation_1d(coarse_cells):

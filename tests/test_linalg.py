@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import conftest as oracle
 import pintsolve as ps
 from pintsolve.errors import DimensionMismatchError, InputError, NotSpdError
+from pintsolve.linalg import eigh_pencil
 
 
 def spd_matrix(rng, dim):
@@ -150,6 +152,127 @@ class TestSpdFactor:
         m = ps.SpatialMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotSpdError):
             ps.SpdFactor(m)
+
+
+def assembled_pencils():
+    """Dense (A, M) pencils of the assembled meshes at odd and even dim, with
+    A plain, tau-scaled and coefficient-scaled, as named pytest params."""
+    out = []
+    for space, cells in [("1d", 8), ("1d", 9), ("2d", 6), ("2d", 5)]:
+        assemble = (ps.assemble_mass_stiffness_1d if space == "1d"
+                    else ps.assemble_mass_stiffness_2d)
+        mass, stiff = assemble(cells)
+        for label, a in [("A", stiff), ("tauA", stiff.scaled(1.0 / 37.0)),
+                         ("cA", stiff.scaled(0.7).scaled(1.3))]:
+            out.append(pytest.param(a.todense(), mass.todense(),
+                                    id=f"{space}-{cells}-{label}"))
+    return out
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The sizes of the scipy.linalg.eigh calls made from here on."""
+    sizes = []
+    real = scipy.linalg.eigh
+
+    def spy(a, b=None, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return sizes
+
+
+def assert_pencil_eigenpairs(a, b, lam, v):
+    """lam ascending and within 1e-14 lam_max of scipy's; V'BV = I and
+    AV = BV diag(lam) to 1e-13 (relative)."""
+    dim = a.shape[0]
+    b = np.eye(dim) if b is None else b
+    want = scipy.linalg.eigvalsh(a, b)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(lam - want).max() <= 1e-14 * np.abs(want).max()
+    assert v.flags.f_contiguous
+    assert np.abs(v.T @ b @ v - np.eye(dim)).max() <= 1e-13
+    scale = np.linalg.norm(a, 2) * np.linalg.norm(v, 2)
+    assert np.linalg.norm(a @ v - b @ v * lam, 2) <= 1e-13 * scale
+
+
+class TestEighPencil:
+    """A symmetric centrosymmetric pencil splits into two half-size pencils;
+    any other pencil runs one scipy eigh."""
+
+    @pytest.mark.parametrize("a,b", assembled_pencils())
+    def test_assembled_pencil_splits(self, eigh_sizes, a, b):
+        dim = a.shape[0]
+        a0, b0 = a.copy(), b.copy()
+        lam, v = eigh_pencil(a, b, overwrite_a=True, overwrite_b=True)
+        assert eigh_sizes == [dim - dim // 2, dim // 2]
+        # the split reads its inputs only
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        assert_pencil_eigenpairs(a, b, lam, v)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_spec_pencil_splits(self, eigh_sizes, seed):
+        # every assembled mesh is centrosymmetric, whatever the time data
+        spec = oracle.random_spec(np.random.default_rng(seed),
+                                  space="2d" if seed % 2 else "1d")
+        a, m = spec.a_ref.scaled(spec.tau_ref).todense(), spec.mass.todense()
+        lam, v = eigh_pencil(a, m)
+        assert len(eigh_sizes) == 2
+        assert_pencil_eigenpairs(a, m, lam, v)
+
+    @pytest.mark.parametrize("a,b", assembled_pencils()[::3])
+    def test_standard_problem_splits(self, eigh_sizes, a, b):
+        lam, v = eigh_pencil(a, None)
+        assert len(eigh_sizes) == 2
+        assert_pencil_eigenpairs(a, None, lam, v)
+
+    @pytest.mark.parametrize("a,b", assembled_pencils()[::3])
+    def test_eigvals_only(self, eigh_sizes, a, b):
+        lam = eigh_pencil(a, b, eigvals_only=True)
+        assert len(eigh_sizes) == 2
+        want = scipy.linalg.eigvalsh(a, b)
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.abs(lam - want).max() <= 1e-14 * want.max()
+
+    def test_repeated_eigenvalues_keep_orthonormal_basis(self):
+        # the 2d stiffness is the 5-point Laplacian: its modes (k, l) and
+        # (l, k) share one eigenvalue and one parity (-1)^(k+l), so one half
+        # holds each repeated value
+        a = ps.assemble_mass_stiffness_2d(6)[1].todense()
+        lam, v = eigh_pencil(a, None)
+        assert np.sum(np.diff(lam) <= 1e-12 * lam[-1]) >= 10
+        assert_pencil_eigenpairs(a, None, lam, v)
+
+    def test_random_pencil_runs_scipy(self, eigh_sizes):
+        rng = np.random.default_rng(21)
+        a, b = spd_matrix(rng, 9).todense(), spd_matrix(rng, 9).todense()
+        lam, v = eigh_pencil(a, b)
+        want_lam, want_v = scipy.linalg.eigh(a, b)
+        assert eigh_sizes == [9, 9]  # the pencil's and the reference's
+        assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
+
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_one_ulp_off_runs_scipy(self, eigh_sizes, which):
+        mass, stiff = ps.assemble_mass_stiffness_2d(5)
+        a, b = stiff.todense(), mass.todense()
+        moved = a if which == "A" else b
+        moved[1, 2] = moved[2, 1] = np.nextafter(moved[1, 2], np.inf)
+        lam, v = eigh_pencil(a, b)
+        want_lam, want_v = scipy.linalg.eigh(a, b)
+        assert eigh_sizes == [16, 16]
+        assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
+
+    @pytest.mark.parametrize("coupling", [2.0, -2.0], ids=["odd-half", "even-half"])
+    def test_indefinite_b_names_b(self, eigh_sizes, coupling):
+        # B = I with its corner couplings c: the half blocks hold 1 + c and
+        # 1 - c, so one half is indefinite and the other SPD
+        stiff = ps.assemble_mass_stiffness_1d(8)[1]
+        b = np.eye(7)
+        b[0, -1] = b[-1, 0] = coupling
+        with pytest.raises(NotSpdError, match="mass matrix is not SPD"):
+            eigh_pencil(stiff.todense(), b, name="mass matrix")
+        assert eigh_sizes == ([4, 3] if coupling > 0 else [4])
 
 
 class TestLanczos:

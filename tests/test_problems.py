@@ -104,6 +104,15 @@ class TestAssembly2d:
                         ref[row, jj * n + ii] = -1.0
         assert np.allclose(a, ref)
 
+    @pytest.mark.parametrize("cells", [3, 8, 32])
+    def test_stiffness_stores_no_zeros(self, cells):
+        # the ll-ur couplings of the stiffness element are exact zeros: the
+        # stored pattern is the five-point stencil's
+        stiff = ps.assemble_mass_stiffness_2d(cells)[1].tocsr()
+        n = cells - 1
+        assert np.all(stiff.data != 0.0)
+        assert stiff.nnz == n * n + 4 * n * (n - 1)
+
     def test_mass_row_sums(self):
         # interior rows of M sum to h^2 (the nodal cell area), boundary-adjacent
         # rows to less; total is bounded by the domain area
@@ -248,6 +257,29 @@ class TestSerialization:
             assert np.array_equal(a.todense(), b.todense())
         assert np.array_equal(back.a_ref.todense(), spec.a_ref.todense())
 
+    def test_listed_zero_entries_load_to_same_products(self, tmp_path):
+        # a file that lists the ll-ur couplings of a 2d stiffness as zeros
+        cells = 8
+        grid = ps.build_time_grid("uniform", 4, 1.0)
+        spec = ps.make_heat_problem("2d", cells, grid, data="random", seed=5)
+        path = tmp_path / "p.txt"
+        ps.save_problem(spec, str(path))
+        lines = path.read_text().splitlines()
+        head = next(i for i, line in enumerate(lines) if line.startswith("matrix A_ref"))
+        _, name, dim, nnz = lines[head].split()
+        n = cells - 1
+        zeros = [f"{j * n + i} {(j + 1) * n + i + 1} 0.0"
+                 for j in range(n - 1) for i in range(n - 1)]
+        lines[head] = f"matrix {name} {dim} {int(nnz) + len(zeros)}"
+        lines[head + 1:head + 1] = zeros
+        path.write_text("\n".join(lines) + "\n")
+        back = ps.load_problem(str(path))
+        assert back.a_ref.tocsr().nnz == spec.a_ref.tocsr().nnz + 2 * len(zeros)
+        x = np.random.default_rng(2).standard_normal((back.dim, 3))
+        assert np.array_equal(back.a_ref.dot(x), spec.a_ref.dot(x))
+        for a, b in zip(back.stiffness, spec.stiffness):
+            assert np.array_equal(a.dot(x), b.dot(x))
+
     def test_solutions_agree_after_round_trip(self, tmp_path):
         grid = ps.build_time_grid("uniform", 5, 1.0)
         spec = ps.make_heat_problem("1d", 8, grid, data="random", seed=3)
@@ -309,8 +341,8 @@ class TestSerialization:
             oracle.assert_same_csr(a, b)
 
     @pytest.mark.parametrize("seed,size,digest", [
-        (0, 3611, "4eeec66963c8e8fc52d55f87a3bc092d3071f474a082c2c5f356da8658e2caee"),
-        (1, 3620, "80ea3a0a03de5c4e6f969438c4af0a6358f858854f3fa876961f28c8a9d9289c"),
+        (0, 3612, "fd51ee32a41549c5fe5b353fb963851495b7f3faec927721fb243b9436446e29"),
+        (1, 3619, "5e6546d2f2b6dcc5b9a7aa805b7d72d46b9d8165dd8cacc50d30bcc6e9c9635f"),
     ])
     def test_per_step_file_bytes_are_pinned(self, tmp_path, seed, size, digest):
         path = tmp_path / "per_step.txt"
