@@ -13,7 +13,7 @@ import statistics
 import numpy as np
 
 from .errors import BoundViolationError
-from .linalg import LanczosResult, eigh_pencil, lanczos_extremal_eig
+from .linalg import LanczosResult, eigh_blocks, lanczos_extremal_eig
 from .operators import BlockDiagSolver, TimeGlobalSystem
 from .problems import ProblemSpec, build_time_grid, make_heat_problem
 from .schur import SchurPreconditioner, build_schur_preconditioner
@@ -59,19 +59,22 @@ def _schur_spectrum(spec: ProblemSpec, seed: int) -> LanczosResult:
     N x N pencil per spatial mode: one Lanczos recurrence runs on each column
     j of X, mode j of u = X V', through X -> H~^-1 S(X V') M V weighted by
     X -> H~(X V') V.  V is the preconditioner's own eigenbasis of
-    (tau_ref A_ref, M) when it holds one."""
+    (tau_ref A_ref, M) when it holds one, and every product with V or V'
+    is a map of its ``linalg.BlockBasis``."""
     system = TimeGlobalSystem(spec, diagnostic=True)
     ht = SchurPreconditioner(spec, solver_kind="direct")
     basis = ht.eigenbasis(spec)
     if basis is None:
-        _, v = eigh_pencil(spec.a_ref.todense(), spec.mass.todense(), name="mass matrix")
-    else:
-        v, _ = basis
-    mv = spec.mass.dot(v)
+        basis = eigh_blocks(spec.a_ref.tocsr(), spec.mass.tocsr(), name="mass matrix")
+
+    def nodal(x: np.ndarray) -> np.ndarray:  # X V'
+        return basis.synthesis(x.T).T
+
     x0 = np.random.default_rng(seed).standard_normal((spec.N, spec.dim))
     return lanczos_extremal_eig(
-        lambda x: ht.apply_inverse(system.apply_S(x @ v.T)) @ mv,
-        lambda x: ht.apply(x @ v.T) @ v,
+        lambda x: basis.analysis(
+            spec.mass.dot(ht.apply_inverse(system.apply_S(nodal(x))).T)).T,
+        lambda x: basis.analysis(ht.apply(nodal(x)).T).T,
         x0,
         LANCZOS_BASIS_BYTES // (16 * x0.size),
     )

@@ -10,6 +10,9 @@ Saddle vectors pair two block vectors ``(p, u)``.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,10 +27,11 @@ class SpatialMatrix:
 
     The full operator is stored once, as canonical CSR, for fast products;
     the upper-triangle coordinates ``rows``, ``cols`` and ``vals`` (used for
-    serialization) are derived from it on access.  Instances are immutable.
+    serialization) are derived from it on access.  A ``scaled`` copy builds
+    its CSR on first read.  Instances are immutable.
     """
 
-    __slots__ = ("dim", "_csr", "_base", "_scale")
+    __slots__ = ("dim", "_csr", "_source", "_base", "_scale")
 
     def __init__(self, dim: int, rows, cols, vals):
         if dim <= 0:
@@ -50,9 +54,11 @@ class SpatialMatrix:
         )
         self._init(full.tocsr())
 
-    def _init(self, csr: sp.csr_matrix) -> None:
-        self.dim = int(csr.shape[0])
+    def _init(self, csr: sp.csr_matrix | None, dim: int | None = None) -> None:
+        self.dim = int(csr.shape[0]) if dim is None else dim
         self._csr = csr
+        # (matrix, c) with the CSR c * matrix, for a scaled copy
+        self._source: tuple[SpatialMatrix, float] | None = None
         # scaling provenance (as_scaled), read by problems.group_steps
         self._base: SpatialMatrix | None = None
         self._scale = 1.0
@@ -66,15 +72,15 @@ class SpatialMatrix:
 
     @property
     def rows(self) -> np.ndarray:
-        return sp.triu(self._csr, format="coo").row
+        return sp.triu(self.tocsr(), format="coo").row
 
     @property
     def cols(self) -> np.ndarray:
-        return sp.triu(self._csr, format="coo").col
+        return sp.triu(self.tocsr(), format="coo").col
 
     @property
     def vals(self) -> np.ndarray:
-        return sp.triu(self._csr, format="coo").data
+        return sp.triu(self.tocsr(), format="coo").data
 
     @classmethod
     def from_sparse(cls, m) -> "SpatialMatrix":
@@ -98,19 +104,29 @@ class SpatialMatrix:
         return cls(dim, idx, idx, np.ones(dim))
 
     def tocsr(self) -> sp.csr_matrix:
+        if self._csr is None:
+            # _source stays set, so that a racing first read in another
+            # thread builds the same product
+            source, c = self._source
+            self._csr = c * source.tocsr()
         return self._csr
 
     def todense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.tocsr().toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
+        return self.tocsr().diagonal()
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        return self._csr.dot(x)
+        return self.tocsr().dot(x)
 
     def scaled(self, c: float) -> "SpatialMatrix":
-        out = SpatialMatrix._from_csr(c * self._csr)
+        """c times self, its CSR fl(c * stored) built on first read: the
+        step operators of a time-dependent coefficient are mostly read
+        through their provenance (``as_scaled``) only."""
+        out = SpatialMatrix.__new__(SpatialMatrix)
+        out._init(None, self.dim)
+        out._source = (self, c)
         out._base, scale = self.as_scaled()
         out._scale = c * scale
         return out
@@ -138,7 +154,7 @@ def add_matrices(a: float, x: SpatialMatrix, b: float, y: SpatialMatrix) -> Spat
     """
     if x.dim != y.dim:
         raise DimensionMismatchError("operator dimensions differ")
-    return SpatialMatrix._from_csr(a * x._csr + b * y._csr)
+    return SpatialMatrix._from_csr(a * x.tocsr() + b * y.tocsr())
 
 
 class SpdFactor:
@@ -173,102 +189,266 @@ class SpdFactor:
         return self._lu.solve(b)
 
 
-# the keyword arguments of eigh_pencil that the split into half pencils keeps
-_SPLIT_KWARGS = frozenset({"eigvals_only", "overwrite_a", "overwrite_b"})
+def _canonical_csr(m) -> sp.csr_matrix | None:
+    """m as a canonical float64 CSR matrix, or None unless m is a square
+    float64 array or sparse matrix."""
+    if sp.issparse(m):
+        csr = m.tocsr()
+    elif isinstance(m, np.ndarray) and m.ndim == 2:
+        csr = sp.csr_matrix(m)
+    else:
+        return None
+    if csr.dtype != np.float64 or csr.shape[0] != csr.shape[1]:
+        return None
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr
 
 
-def _centrosymmetric(m) -> bool:
-    """m is a float64 matrix of dim >= 4 that equals, exactly, its transpose
-    and its index-reversed self m[::-1, ::-1]."""
-    return (
-        isinstance(m, np.ndarray) and m.dtype == np.float64 and m.ndim == 2
-        and m.shape[0] == m.shape[1] >= 4
-        and np.array_equal(m, m[::-1, ::-1]) and np.array_equal(m, m.T)
-    )
-
-
-def _half(m: np.ndarray, even: bool) -> np.ndarray:
-    """The block of a symmetric centrosymmetric m on its even or odd vectors.
-
-    With h = dim // 2, the even vectors are (e_i + e_{dim-1-i}) / sqrt 2 for
-    i < h, plus e_h for odd dim, the odd ones (e_i - e_{dim-1-i}) / sqrt 2:
-    the block is L + R, bordered by sqrt 2 m[:h, h] and m[h, h] for odd dim,
-    or L - R, with L = m[:h, :h] and R = m[:h, :-h-1:-1].  It is exactly
-    symmetric, so its transpose is the same block in Fortran order.
-    """
+def _invariant(m: sp.csr_matrix, perm: np.ndarray | None) -> bool:
+    """m equals, exactly, m[perm][:, perm] for an index involution perm, or
+    its transpose for perm None; m is canonical, so its entries in row-major
+    order are compared with the mapped ones sorted the same way."""
     dim = m.shape[0]
-    h = dim // 2
-    size = h + dim % 2 if even else h
-    out = np.empty((size, size))
-    (np.add if even else np.subtract)(m[:h, :h], m[:h, : -h - 1 : -1], out=out[:h, :h])
-    if size > h:
-        out[h, :h] = out[:h, h] = np.sqrt(2.0) * m[h, :h]
-        out[h, h] = m[h, h]
-    return out.T
+    rows = np.repeat(np.arange(dim), np.diff(m.indptr))
+    key = m.indices * dim + rows if perm is None else perm[rows] * dim + perm[m.indices]
+    order = np.argsort(key, kind="stable")
+    return (np.array_equal(key[order], rows * dim + m.indices)
+            and np.array_equal(m.data[order], m.data))
 
 
-def _eigh_split(a: np.ndarray, b: np.ndarray | None, eigvals_only: bool):
-    """eigh of a symmetric centrosymmetric pencil as two half-size pencils."""
-    # each half block lives only through its own solve, which may overwrite it
-    halves = [
-        scipy.linalg.eigh(
-            _half(a, even), None if b is None else _half(b, even),
-            eigvals_only=eigvals_only, overwrite_a=True, overwrite_b=True,
-        )
-        for even in (True, False)
-    ]
-    if eigvals_only:
-        return np.sort(np.concatenate(halves))
-    (lam_even, y_even), (lam_odd, y_odd) = halves
-    lam = np.concatenate([lam_even, lam_odd])
-    order = np.argsort(lam, kind="stable")
-    dim = a.shape[0]
-    h = dim // 2
-    # column of V that each half eigenvector becomes
-    column = np.empty(dim, dtype=np.intp)
-    column[order] = np.arange(dim)
-    even_cols, odd_cols = column[: dim - h], column[dim - h :]
-    v = np.empty((dim, dim), order="F")
-    y_even[:h] *= np.sqrt(0.5)
-    v[:h, even_cols] = y_even[:h]
-    v[: -h - 1 : -1, even_cols] = y_even[:h]
-    if dim % 2:
-        v[h, even_cols] = y_even[h]
-        v[h, odd_cols] = 0.0
-    y_odd *= np.sqrt(0.5)
-    v[:h, odd_cols] = y_odd
-    v[: -h - 1 : -1, odd_cols] = np.negative(y_odd, out=y_odd)
-    return lam[order], v
+def _involutions(dim: int) -> dict[str, np.ndarray]:
+    """The index involutions an assembled pencil commutes with: the reversal
+    J for dim >= 4 (x -> 1 - x in 1d, the rotation by 180 degrees in 2d),
+    and the grid transpose P, (i, j) -> (j, i), when dim = n^2 (x <-> y)."""
+    if dim < 4:
+        return {}
+    out = {"J": np.arange(dim)[::-1].copy()}
+    n = math.isqrt(dim)
+    if n * n == dim:
+        out["P"] = np.arange(dim).reshape(n, n).T.ravel()
+    return out
 
 
-def eigh_pencil(a: np.ndarray, b: np.ndarray | None, name: str = "B", **kwargs):
-    """``scipy.linalg.eigh(a, b, **kwargs)`` for A symmetric and B SPD.
+@functools.lru_cache(maxsize=8)
+def _symmetry_fold(dim: int, names: tuple[str, ...]) -> "_SymmetryFold":
+    """The fold of the named involutions, built once per dim and names."""
+    involutions = _involutions(dim)
+    return _SymmetryFold(dim, [involutions[name] for name in names])
 
-    A pencil of centrosymmetric matrices, each equal to its index-reversed
-    self, splits into two half-size pencils (Cantoni & Butler, Linear
-    Algebra Appl. 13, 1976): one on the even vectors (e_i + e_{dim-1-i}) /
-    sqrt 2, plus e_h for odd dim, h = dim // 2, and one on the odd vectors
-    (e_i - e_{dim-1-i}) / sqrt 2.  Every assembled mesh gives such a pencil.
-    When A, and B unless it is None, are float64, of dim >= 4 and equal both
-    their transposes and their index-reversed selves exactly (O(dim^2)
-    comparisons), and ``kwargs`` holds at most ``eigvals_only``,
-    ``overwrite_a`` and ``overwrite_b``, each half runs one scipy eigh, a
-    quarter of the flops of the whole.  The eigenvalues come back merged in
-    ascending order (a stable sort, even half first on ties) and V, in
-    Fortran order as scipy returns it, has its columns in that order with
-    V' B V = I; the inputs are never overwritten.  Any other pencil runs one
-    scipy eigh, unchanged.
 
-    Raises NotSpdError, naming B, when B has no Cholesky factor; a split B
-    has one exactly when both its halves do.
+class _SymmetryFold:
+    """The orthogonal change of basis Q that block-diagonalizes every
+    symmetric matrix commuting with the given commuting index involutions.
+
+    The involutions generate a group G of 2^m index maps.  Each sign
+    pattern s in {+1, -1}^m is a character chi of G (the product of s_i
+    over the generators in an element), and the symmetry-adapted vectors of
+    class chi are q_r = (sqrt(o_r) / |G|) sum_g chi(g) e_g(r), one per orbit
+    of G whose stabilizer chi is trivial on, r the orbit's smallest index
+    and o_r its size (Fassler & Stiefel 1992).  They are orthonormal, and
+    Q = [q_r] holds the classes one after the other, the patterns in
+    lexicographic order with + first (for the reversal alone: the even
+    vectors, then the odd ones).  Entries of a class block,
+    q_r' A q_t = (sqrt(o_r o_t) / |G|) sum_g chi(g) A[r, g(t)], are formed
+    from A's stored entries, summed in the order of G.
     """
+
+    def __init__(self, dim: int, generators: list[np.ndarray]):
+        elements = [np.arange(dim)]
+        for g in generators:
+            elements += [g[e] for e in elements]
+        # element k holds generator i when bit i of k is set
+        self.elements = np.stack(elements)
+        index = np.arange(dim)
+        reps = np.flatnonzero(self.elements.min(axis=0) == index)
+        fixes = self.elements[:, reps] == reps  # (element, rep): g(r) == r
+        order = len(elements)
+        self.classes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
+            chi = np.array([math.prod(s for i, s in enumerate(signs) if k >> i & 1)
+                            for k in range(order)])
+            # chi trivial on the stabilizer of r
+            keep = np.all(fixes <= (chi[:, None] > 0), axis=0)
+            if keep.any():
+                sizes = order / fixes[:, keep].sum(axis=0)
+                self.classes.append((reps[keep], chi, sizes))
+        self.order = order
+        self.dim = dim
+        starts = np.cumsum([0] + [r.size for r, _, _ in self.classes])
+        q = sp.coo_matrix(
+            (np.concatenate([np.outer(chi, np.sqrt(sizes) / order).ravel()
+                             for _, chi, sizes in self.classes]),
+             (np.concatenate([self.elements[:, r].ravel() for r, _, _ in self.classes]),
+              np.concatenate([np.tile(np.arange(lo, lo + r.size), order)
+                              for lo, (r, _, _) in zip(starts, self.classes)]))),
+            shape=(dim, dim),
+        ).tocsr()  # sums the stabilizer's equal terms
+        self.q = q
+        self.qt = q.T.tocsr()
+
+    def blocks(self, m: sp.csr_matrix) -> list[np.ndarray]:
+        """The class blocks Q_b' m Q_b of a canonical CSR m that commutes
+        with every element, as dense C-order arrays.  Each term is scaled
+        before the sum.  With the reversal alone, every scale that is not a
+        power of two multiplies a pair of equal terms, so that the blocks
+        are exactly the sums and differences of m's mirrored entries."""
+        rows = np.repeat(np.arange(self.dim), np.diff(m.indptr))
+        out = []
+        for reps, chi, sizes in self.classes:
+            size = reps.size
+            position = np.full(self.dim, -1)
+            position[reps] = np.arange(size)
+            row = position[rows]
+            on = row >= 0
+            row, col, data = row[on], m.indices[on], m.data[on]
+            flat, terms = [], []
+            for g, sign in zip(self.elements, chi):
+                c = position[g[col]]
+                hit = c >= 0
+                r, c = row[hit], c[hit]
+                flat.append(r * size + c)
+                terms.append((sign / self.order) * np.sqrt(sizes[r] * sizes[c]) * data[hit])
+            out.append(np.bincount(np.concatenate(flat), np.concatenate(terms),
+                                   minlength=size * size).reshape(size, size))
+        return out
+
+
+def _sparse_matmul(q: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """q @ x along axis -2 of x, as matmul would."""
+    if x.ndim <= 2:
+        return q @ x
+    return np.stack([_sparse_matmul(q, xi) for xi in x])
+
+
+class BlockBasis:
+    """The eigenbasis V of a symmetric-definite pencil (A, B), with
+    A V = B V diag(lam) and V' B V = I, kept as one dense block per
+    symmetry class: V = Q diag(V_1, ..., V_c), Q the orthogonal symmetry
+    fold of the pencil (see ``eigh_blocks``), or V = V_1 when it has none.
+
+    ``lam`` holds the eigenvalues class by class, ascending within each, in
+    the order of V's columns; ``vectors`` the blocks V_b.  ``analysis`` and
+    ``synthesis`` apply V' and V along axis -2 of an array of two or more
+    dimensions, as matmul would: the fold (one sparse product) and one GEMM
+    per block on its whole rows, so that no result depends on the thread
+    count.  Immutable.
+    """
+
+    __slots__ = ("lam", "vectors", "bounds", "_q", "_qt")
+
+    def __init__(self, lam: np.ndarray, vectors: list[np.ndarray],
+                 fold: _SymmetryFold | None = None):
+        self.lam = lam
+        self.vectors = vectors
+        self.bounds = np.cumsum([0] + [v.shape[0] for v in vectors])
+        self._q = None if fold is None else fold.q
+        self._qt = None if fold is None else fold.qt
+
+    def _blockwise(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        if len(self.vectors) == 1:
+            v = self.vectors[0]
+            return (v.T if transpose else v) @ x
+        out = np.empty(x.shape)
+        for v, lo, hi in zip(self.vectors, self.bounds[:-1], self.bounds[1:]):
+            np.matmul(v.T if transpose else v, x[..., lo:hi, :], out=out[..., lo:hi, :])
+        return out
+
+    def analysis(self, x: np.ndarray) -> np.ndarray:
+        """V' x: the coefficients of a dual vector, or of B x."""
+        if self._qt is not None:
+            x = _sparse_matmul(self._qt, x)
+        return self._blockwise(x, transpose=True)
+
+    def synthesis(self, c: np.ndarray) -> np.ndarray:
+        """V c: the vector with coefficients c."""
+        x = self._blockwise(c, transpose=False)
+        return x if self._q is None else _sparse_matmul(self._q, x)
+
+    def dense(self) -> np.ndarray:
+        """V as one (dim, dim) array, columns in the order of ``lam``."""
+        blocks = scipy.linalg.block_diag(*self.vectors)
+        return blocks if self._q is None else self._q @ blocks
+
+
+def _eigh_classes(a, b, name: str,
+                  eigvals_only: bool) -> tuple[_SymmetryFold | None, list]:
+    """(fold, results): scipy's eigh of each class block of the pencil, or
+    (None, [eigh of the whole pencil]) when it has no symmetry."""
+    names = ()
+    involutions = _involutions(np.shape(a)[0])
+    if involutions:
+        mats = [_canonical_csr(m) for m in ((a,) if b is None else (a, b))]
+        if (all(m is not None and m.shape == mats[0].shape for m in mats)
+                and all(_invariant(m, None) for m in mats)):
+            names = tuple(name for name, g in involutions.items()
+                          if all(_invariant(m, g) for m in mats))
     try:
-        if (_SPLIT_KWARGS.issuperset(kwargs) and _centrosymmetric(a)
-                and (b is None or (_centrosymmetric(b) and b.shape == a.shape))):
-            return _eigh_split(a, b, kwargs.get("eigvals_only", False))
-        return scipy.linalg.eigh(a, b, **kwargs)
+        if not names:
+            # densified sparse inputs are this call's own copies
+            whole = [m.toarray() if sp.issparse(m) else m for m in (a, b)]
+            return None, [scipy.linalg.eigh(
+                whole[0], whole[1], eigvals_only=eigvals_only,
+                overwrite_a=sp.issparse(a), overwrite_b=sp.issparse(b),
+            )]
+        fold = _symmetry_fold(mats[0].shape[0], names)
+        blocks = [fold.blocks(m) for m in mats]
+        if b is None:
+            blocks.append([None] * len(blocks[0]))
+        # each block lives only through its own solve, which may overwrite it
+        return fold, [
+            scipy.linalg.eigh(x, y, eigvals_only=eigvals_only,
+                              overwrite_a=True, overwrite_b=True)
+            for x, y in zip(*blocks)
+        ]
     except scipy.linalg.LinAlgError as exc:
         raise NotSpdError(f"{name} is not SPD: {exc}") from exc
+
+
+def eigh_blocks(a, b=None, name: str = "B") -> BlockBasis:
+    """The eigenbasis of the pencil (A, B), A symmetric and B SPD (None for
+    the identity), each a float64 array or sparse matrix, as a BlockBasis.
+
+    The pencil is split by the index involutions that A and B both commute
+    with exactly (Fassler & Stiefel, Group Theoretical Methods and Their
+    Applications, 1992): the reversal J for dim >= 4, and the grid
+    transpose P when dim = n^2.  Every assembled mesh commutes with J (the
+    reflection x -> 1 - x in 1d, the rotation by 180 degrees in 2d), and
+    every 2d one with P too (the reflection x <-> y), so a 1d pencil splits
+    into two half-size ones and a 2d pencil into four quarter-size ones,
+    each one scipy eigh, and B has a Cholesky factor exactly when every
+    block of it has.  The checks and the blocks read the stored entries of
+    the sparse matrices; only the blocks are dense.  A pencil that commutes
+    with neither, or whose A or B is not float64 and exactly symmetric,
+    runs one scipy eigh, bit for bit, as one block.  The inputs are never
+    overwritten.
+
+    Raises NotSpdError, naming B, when any block of B has no Cholesky
+    factor.
+    """
+    fold, results = _eigh_classes(a, b, name, False)
+    return BlockBasis(np.concatenate([lam for lam, _ in results]),
+                      [v for _, v in results], fold)
+
+
+def eigh_pencil(a, b, name: str = "B", eigvals_only: bool = False):
+    """``scipy.linalg.eigh(a, b, ...)`` for A symmetric and B SPD, from the
+    class blocks of ``eigh_blocks``: the eigenvalues in ascending order (a
+    stable sort, so that ties keep the class order) and V, in Fortran order
+    as scipy returns it, with its columns in that order and V' B V = I.  A
+    pencil without symmetry returns scipy's eigh of the whole.  The inputs
+    are never overwritten.  Raises NotSpdError as ``eigh_blocks``.
+    """
+    fold, results = _eigh_classes(a, b, name, eigvals_only)
+    if fold is None:
+        return results[0]
+    if eigvals_only:
+        return np.sort(np.concatenate(results), kind="stable")
+    basis = BlockBasis(np.concatenate([lam for lam, _ in results]),
+                       [v for _, v in results], fold)
+    order = np.argsort(basis.lam, kind="stable")
+    return basis.lam[order], np.asfortranarray(basis.dense()[:, order])
 
 
 class LanczosResult(NamedTuple):

@@ -75,10 +75,12 @@ class BlockDiagSolver:
     the columns of its steps; the scales fold into the per-step divisor.
     ``spatial_seconds`` accumulates the wall time of those solves: all of
     it outside a pool task, its share in one (``parallel.add_seconds``).
+    ``setup_seconds`` is the wall time of the build.
     """
 
     def __init__(self, spec: ProblemSpec, kind: str = "direct",
                  hierarchy: MgHierarchy | None = None, **opts):
+        start = time.perf_counter()
         self.kind = kind
         self._step_groups = spec.step_groups
         # (solver of the base, steps using it, tau_n * scale_n for those steps)
@@ -88,6 +90,7 @@ class BlockDiagSolver:
             for base, steps, scales in spec.step_groups
         ]
         self.spatial_seconds = 0.0
+        self.setup_seconds = time.perf_counter() - start
 
     def inverts(self, system: "TimeGlobalSystem") -> bool:
         """True when this solver is the exact inverse of system's A_bd: the

@@ -219,7 +219,7 @@ def compute_alpha(
         if ref_scale is not None:
             lo = hi = scales / ref_scale
         else:
-            w = eigh_pencil(base.todense(), a_ref.todense(), eigvals_only=True)
+            w = eigh_pencil(base.tocsr(), a_ref.tocsr(), eigvals_only=True)
             lo, hi = w[0] * scales, w[-1] * scales
         taus = grid.steps[steps]
         lo, hi = lo * taus / tau_ref, hi * taus / tau_ref

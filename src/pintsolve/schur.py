@@ -8,7 +8,8 @@ The inexact kinds run the solves of all modes as one batched solver
 application on the (dim, N) block of modes.  The direct kind diagonalizes
 the spatial pencil once (fast diagonalization): with tau A V = M V diag(lam)
 and V' M V = I, every H_k^-1 A H_k^-1 is V diag(lam / (tau (mu_k + lam)^2)) V',
-so one application is two dense products on the whole block.
+so one application is the two basis maps of V on the whole block, each a
+sparse symmetry fold and one dense product per symmetry class.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dst import DstPlan
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import SpatialMatrix, SpdFactor, add_matrices, eigh_pencil
+from .linalg import BlockBasis, SpatialMatrix, SpdFactor, add_matrices, eigh_blocks
 from .problems import ProblemSpec
 from .spatial import MgHierarchy, SpatialSolver, build_mg_hierarchy, make_solver
 from . import parallel
@@ -29,17 +30,21 @@ from . import parallel
 
 # Largest spatial dimension for which the direct kind uses the dense
 # eigendecomposition; above it, one sparse LU factorization per mode.  The
-# dense basis costs O(dim^3) to set up, O(dim^2 N) per application and
-# 8 dim^2 bytes, against sparse factors that grow almost linearly in dim.
-# Measured at N = 256 on one BLAS thread, the per-application crossover is
-# near dim 800 in 1d (tridiagonal factors) and near dim 2000 in 2d; this
-# limit puts every power-of-two mesh (1d dim <= 511, 2d dim 961 on the
-# eigenbasis; 1d dim >= 1023, 2d dim >= 3969 on LU) on its faster side.
-# The set-up does not set the limit: the eigensolve of an assembled
-# (centrosymmetric) pencil runs as two half-size ones (see eigh_pencil) and
-# sets up faster than the N sparse LUs on each mesh measured (eigenbasis / LU
-# at N = 256: 0.03 / 0.12 s at 1d dim 511, 0.12-0.17 / 0.29 s at dim 1023,
-# 0.10 / 1.0 s at 2d dim 961, 0.9 / 1.6 s at dim 2209).
+# eigenbasis costs O(dim^3) to set up and O(dim^2 N) per application,
+# against sparse factors that grow almost linearly in dim.  It is kept as
+# class blocks split by the mesh's mirror symmetries (see
+# linalg.eigh_blocks): two half-size blocks in 1d, four quarter-size ones
+# in 2d, so its set-up, its memory (8 dim^2 / 2 or / 4 bytes) and its
+# per-application flops are those of the blocks.  Measured at N = 256 on
+# one BLAS thread, 2-core host, eigenbasis / LU, set-up then one
+# application: 0.03 / 0.22 s and 10 / 19 ms at 1d dim 511, 0.15 / 0.32 s
+# and 20 / 31-35 ms at 1d dim 1023, 0.05 / 0.97 s and 12 / 48-85 ms at 2d
+# dim 961, 0.28-0.29 / 2.2-2.4 s and 34-50 / 153-206 ms at 2d dim 2209.
+# The eigenbasis is faster on both counts at every mesh measured.  This
+# limit was set when the basis was one dense V and the per-application
+# crossover lay near dim 800 in 1d and dim 2000 in 2d; it now leaves 1d
+# dim 1023 on its slower side (2d dim 3969 was not measured).  Moving it
+# is left to a measured rule that also weighs memory.
 EIG_DIM_LIMIT = 1000
 
 
@@ -68,7 +73,13 @@ class SchurPreconditioner:
     its two clocks.
 
     The direct kind diagonalizes the pencil (tau A, M) once when
-    ``dim <= EIG_DIM_LIMIT`` and factorizes each mode otherwise.  The inexact
+    ``dim <= EIG_DIM_LIMIT`` and factorizes each mode otherwise.  Its
+    eigenbasis is the only one it holds, as a ``linalg.BlockBasis``: the
+    orthogonal symmetry fold of the pencil and one dense block of V per
+    symmetry class (four quarter-size blocks on a 2d mesh, two half-size
+    ones in 1d), so that it holds no (dim, dim) array unless the pencil has
+    no symmetry.  Its modes, the eigenvalues lam and the weights D of the
+    mode stage all run in the basis's class order.  The inexact
     kinds (``mg`` and ``jacobi``) build one solver for the whole family
     mu_k M + tau A and apply it to all modes at once, as a (dim, N) block.
     ``blocks[k]`` and ``solvers[k]`` give the per-mode operators and solvers;
@@ -80,6 +91,7 @@ class SchurPreconditioner:
     ``fft_seconds`` and ``spatial_seconds`` accumulate the wall time that
     ``apply_inverse`` spends in its two DSTs and in its mode stage: all of
     it outside a pool task, its share in one (``parallel.add_seconds``).
+    ``setup_seconds`` is the wall time of the build.
     """
 
     def __init__(
@@ -89,6 +101,7 @@ class SchurPreconditioner:
         hierarchy: MgHierarchy | None = None,
         **solver_opts,
     ):
+        start = time.perf_counter()
         self.N = spec.N
         self.dim = spec.dim
         self.tau_ref = spec.tau_ref
@@ -99,20 +112,18 @@ class SchurPreconditioner:
         self.solver_kind = solver_kind
         self._tau_a = spec.a_ref.scaled(spec.tau_ref)
         self._direct: list[SpatialSolver] | None = None
-        # (V, lam, D): the direct kind's basis and eigenvalues, and its
-        # per-mode spectral weights, with row k of D the diagonal of
-        # V^-1 (tau / (2 N)) H_k^-1 A H_k^-1 V^-T: the mode stage's
-        # 2 tau / N times the 1/4 of the two unscaled DSTs
-        self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # D in Fortran order, the layout of the DST output it multiplies in
-        # the eigenbasis (with a C-order D that product measured 8x slower
-        # at N = 1024, dim = 127)
+        # the direct kind's eigenbasis, its modes in class order
+        self._basis: BlockBasis | None = None
+        # its per-mode spectral weights D, in Fortran order, the layout of
+        # the DST output it multiplies (with a C-order D that product
+        # measured 8x slower at N = 1024, dim = 127): row k of D is the
+        # diagonal of V^-1 (tau / (2 N)) H_k^-1 A H_k^-1 V^-T, the mode
+        # stage's 2 tau / N times the 1/4 of the two unscaled DSTs
         self._d_fortran: np.ndarray | None = None
         # the one solver of the whole family (inexact kinds only)
         self.batched: SpatialSolver | None = None
         if solver_kind == "direct" and self.dim <= EIG_DIM_LIMIT:
-            self._eig = self._diagonalize()
-            self._d_fortran = np.asfortranarray(self._eig[2])
+            self._basis, self._d_fortran = self._diagonalize()
         elif solver_kind == "direct":
             self._direct = [make_solver(h_k, "direct") for h_k in self.blocks]
         else:
@@ -123,6 +134,7 @@ class SchurPreconditioner:
         self._a_factor: SpdFactor | None = None  # built only for exact mode
         self.fft_seconds = 0.0
         self.spatial_seconds = 0.0
+        self.setup_seconds = time.perf_counter() - start
 
     @property
     def blocks(self) -> Sequence[SpatialMatrix]:
@@ -140,27 +152,25 @@ class SchurPreconditioner:
             return _Views(self.N, lambda k: make_solver(self.blocks[k], "direct"))
         return _Views(self.N, lambda k: self.batched.columns(slice(k, k + 1)))
 
-    def _diagonalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lam, v = eigh_pencil(
-            self._tau_a.todense(), self.mass.todense(), name="mass matrix",
-            overwrite_a=True, overwrite_b=True,
-        )
-        denom = self.mu[:, None] + lam
-        if np.any(denom <= 0.0):
+    def _diagonalize(self) -> tuple[BlockBasis, np.ndarray]:
+        basis = eigh_blocks(self._tau_a.tocsr(), self.mass.tocsr(), name="mass matrix")
+        # (dim, N), the transpose of the Fortran-order (N, dim) D
+        d = basis.lam[:, None] + self.mu
+        if np.any(d <= 0.0):
             raise NotSpdError("frequency-mode blend is not SPD")
         # tau / (2 N) times lam / (tau (mu_k + lam)^2); tau cancels
-        return v, lam, (0.5 / self.N) * lam / denom**2
+        np.divide((0.5 / self.N) * basis.lam[:, None], np.square(d, out=d), out=d)
+        return basis, d.T
 
-    def eigenbasis(self, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray] | None:
-        """(V, lam) with tau_ref A_ref V = M V diag(lam) and V' M V = I, when
-        this preconditioner holds the eigenbasis of spec's own pencil (the
-        same M and A_ref objects, the same tau_ref and N); else None."""
-        if (self._eig is None or self.mass is not spec.mass
+    def eigenbasis(self, spec: ProblemSpec) -> BlockBasis | None:
+        """The basis V, with tau_ref A_ref V = M V diag(lam) and V' M V = I,
+        when this preconditioner holds the eigenbasis of spec's own pencil
+        (the same M and A_ref objects, the same tau_ref and N); else None."""
+        if (self._basis is None or self.mass is not spec.mass
                 or self.a_ref is not spec.a_ref or self.tau_ref != spec.tau_ref
                 or self.N != spec.N):
             return None
-        v, lam, _ = self._eig
-        return v, lam
+        return self._basis
 
     def mode_weights(self) -> np.ndarray | None:
         """D, the Fortran-order (N, dim) weights of the eigenbasis mode stage,
@@ -232,11 +242,12 @@ class SchurPreconditioner:
         The inexact kinds run the whole solve, A_ref product, solve stage on
         column blocks of at most ``batched.block_columns`` modes.
         """
-        if self._eig is not None:
-            # one product per side on the whole block; chunking the columns
-            # would not be bit-identical across thread counts
-            v, _, d = self._eig
-            return ((rhat @ v) * d) @ v.T
+        if self._basis is not None:
+            # each basis map on the whole block; chunking the columns would
+            # not be bit-identical across thread counts
+            c = self._basis.analysis(rhat.T)
+            c *= self._d_fortran.T
+            return self._basis.synthesis(c).T
         scale = 0.5 * self.tau_ref / self.N
         if self.batched is None:
             # one factorization per mode, each solving a contiguous row

@@ -237,7 +237,9 @@ def _nodal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
 def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
                htilde: SchurPreconditioner) -> _OperatorSet | None:
     """The operators in the eigenbasis V of (tau_ref A_ref, M), or None
-    unless every one of them is diagonal in space there.
+    unless every one of them is diagonal in space there.  The basis maps
+    are those of htilde's ``linalg.BlockBasis``, and its modes run in their
+    class order.
 
     That holds when atilde is the exact A_bd^-1, htilde holds this pencil's
     eigenbasis, and every step operator is a multiple of A_ref: one step
@@ -260,20 +262,19 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     s_ref = spec.a_ref.proportionality(base)
     if s_ref is None:
         return None
-    v, lam = basis
     tau_s = spec.grid.steps * scales
-    w = np.asfortranarray(np.outer(tau_s / (spec.tau_ref * s_ref), lam))
+    w = np.asfortranarray(np.outer(tau_s / (spec.tau_ref * s_ref), basis.lam))
     width = max(1, SLAB_BYTES // (8 * spec.N))
-    # each map is one product on the (dim, N) view of a Fortran-order block,
-    # and returns a Fortran-order block
+    # each map acts on the (dim, N) view of a Fortran-order block, and
+    # returns a Fortran-order block
     return _OperatorSet(
         mass=lambda x, cols=_ALL: x,
         abd=lambda x, cols=_ALL: w[:, cols] * x,
         atilde=lambda r, cols=_ALL: atilde.apply_inverse(r, weights=w[:, cols]),
         htilde=lambda r, cols=_ALL: htilde.apply_inverse(r, slab=cols),
-        to_basis=lambda x: (v.T @ spec.mass.dot(x.T)).T,
-        from_basis=lambda x: (v @ x.T).T,
-        dual_to_basis=lambda x: (v.T @ x.T).T,
+        to_basis=lambda x: basis.analysis(spec.mass.dot(x.T)).T,
+        from_basis=lambda x: basis.synthesis(x.T).T,
+        dual_to_basis=lambda x: basis.analysis(x.T).T,
         slabs=tuple(slice(lo, min(lo + width, spec.dim))
                     for lo in range(0, spec.dim, width)),
         sum_axis=0,

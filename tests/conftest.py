@@ -28,6 +28,20 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The sizes of the scipy.linalg.eigh calls made from here on."""
+    sizes = []
+    real = scipy.linalg.eigh
+
+    def spy(a, b=None, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return sizes
+
+
 def loop_assembly_2d(cells):
     """(M, A) of ``assemble_mass_stiffness_2d`` by a loop over the triangles:
     the boundary-inclusive matrices without their exact zeros, then their
@@ -66,6 +80,19 @@ def loop_assembly_2d(cells):
         full.eliminate_zeros()  # the stiffness element's ll-ur couplings
         out.append(ps.SpatialMatrix.from_sparse(full[np.ix_(interior, interior)]))
     return tuple(out)
+
+
+def class_sizes(space, cells):
+    """The sizes of the symmetry classes of an assembled pencil, from the
+    characters of the group that the reversal J, and in 2d the transpose P,
+    generate: (1/|G|) sum_g chi(g) (fixed points of g)."""
+    n = cells - 1
+    if space == "1d":
+        return [n - n // 2, n // 2]
+    dim = n * n
+    fixed_j = dim % 2  # the centre node, for odd n
+    return [(dim + sj * fixed_j + sp * n + sj * sp * n) // 4
+            for sj in (1, -1) for sp in (1, -1)]
 
 
 def loop_prolongation_1d(coarse_cells):
@@ -186,4 +213,36 @@ def per_step_spec(seed=0):
         a_ref=a_ref,
         alpha=ps.compute_alpha(mass, stiffness, grid, tau_ref, a_ref),
         meta={"space": "1d", "mesh": 8},
+    )
+
+
+def renumbered_spec(spec, seed=0):
+    """spec with its unknowns renumbered by one seeded permutation: M, every
+    A_n, the load and u_init.  Each A_n stays the same multiple of its
+    renumbered base, so the step groups and a_ref's proportionality hold,
+    but the pencil no longer commutes with the reversal or the transpose.
+    The mesh metadata is dropped: the grid transfers of mg do not apply."""
+    perm = np.random.default_rng(seed).permutation(spec.dim)
+
+    def renumber(m):
+        return ps.SpatialMatrix.from_sparse(m.tocsr()[perm][:, perm])
+
+    bases = {}
+
+    def renumbered(a):
+        base, scale = a.as_scaled()
+        if base not in bases:
+            bases[base] = renumber(base)
+        return bases[base] if a is base else bases[base].scaled(scale)
+
+    stiffness = [renumbered(a) for a in spec.stiffness]
+    return ps.ProblemSpec(
+        mass=renumber(spec.mass),
+        stiffness=stiffness,
+        grid=spec.grid,
+        load=spec.load[:, perm],
+        u_init=spec.u_init[perm],
+        tau_ref=spec.tau_ref,
+        a_ref=renumbered(spec.a_ref),
+        alpha=spec.alpha,
     )

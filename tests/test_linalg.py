@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import conftest as oracle
 import pintsolve as ps
 from pintsolve.errors import DimensionMismatchError, InputError, NotSpdError
-from pintsolve.linalg import eigh_pencil
+from pintsolve.linalg import eigh_blocks, eigh_pencil
 
 
 def spd_matrix(rng, dim):
@@ -95,6 +95,26 @@ class TestSpatialMatrix:
         m = ps.SpatialMatrix.identity(4)
         assert np.allclose(m.scaled(2.5).todense(), 2.5 * np.eye(4))
 
+    def test_scaled_copy_builds_its_csr_on_first_read(self):
+        # fl(c * stored) of the matrix it was scaled from, as an eager
+        # product rounds, for a root and for a scaled copy of a scaled copy
+        mass, stiff = ps.assemble_mass_stiffness_2d(6)
+        once = stiff.scaled(0.7)
+        twice = once.scaled(1.3)
+        assert once._csr is None and twice._csr is None
+        assert twice.dim == stiff.dim and twice.as_scaled() == (stiff, 0.7 * 1.3)
+        oracle.assert_same_csr(twice.tocsr(), 1.3 * (0.7 * stiff.tocsr()))
+        assert twice.tocsr() is twice.tocsr()
+        oracle.assert_same_csr(once.tocsr(), 0.7 * stiff.tocsr())
+
+    def test_make_heat_problem_builds_no_step_csr(self):
+        grid = ps.build_time_grid("perturbed", 12, 1.0, perturbation=0.3, seed=4)
+        spec = ps.make_heat_problem("2d", 8, grid, coeff=lambda t: 1.0 + t, data="zero")
+        assert all(a._csr is None for a in spec.stiffness)
+        (base, _, scales), = spec.step_groups
+        for a, c in zip(spec.stiffness, scales):
+            oracle.assert_same_csr(a.tocsr(), c * base.tocsr())
+
     def test_proportionality_tracked_through_scaling(self):
         rng = np.random.default_rng(1)
         m = spd_matrix(rng, 4)
@@ -156,93 +176,128 @@ class TestSpdFactor:
 
 def assembled_pencils():
     """Dense (A, M) pencils of the assembled meshes at odd and even dim, with
-    A plain, tau-scaled and coefficient-scaled, as named pytest params."""
+    A plain, tau-scaled and coefficient-scaled, and the sizes of their
+    symmetry classes, as named pytest params."""
     out = []
-    for space, cells in [("1d", 8), ("1d", 9), ("2d", 6), ("2d", 5)]:
+    for space, cells in [("1d", 8), ("1d", 9), ("2d", 6), ("2d", 5), ("2d", 7),
+                         ("2d", 8), ("2d", 9)]:
         assemble = (ps.assemble_mass_stiffness_1d if space == "1d"
                     else ps.assemble_mass_stiffness_2d)
         mass, stiff = assemble(cells)
         for label, a in [("A", stiff), ("tauA", stiff.scaled(1.0 / 37.0)),
                          ("cA", stiff.scaled(0.7).scaled(1.3))]:
-            out.append(pytest.param(a.todense(), mass.todense(),
+            out.append(pytest.param(a.todense(), mass.todense(), oracle.class_sizes(space, cells),
                                     id=f"{space}-{cells}-{label}"))
     return out
 
 
-@pytest.fixture
-def eigh_sizes(monkeypatch):
-    """The sizes of the scipy.linalg.eigh calls made from here on."""
-    sizes = []
-    real = scipy.linalg.eigh
-
-    def spy(a, b=None, **kwargs):
-        sizes.append(np.shape(a)[0])
-        return real(a, b, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    return sizes
-
-
-def assert_pencil_eigenpairs(a, b, lam, v):
-    """lam ascending and within 1e-14 lam_max of scipy's; V'BV = I and
-    AV = BV diag(lam) to 1e-13 (relative)."""
+def assert_pencil_eigenpairs(a, b, lam, v, ascending=True):
+    """lam within 1e-14 lam_max of scipy's (ascending, or once sorted);
+    V'BV = I and AV = BV diag(lam) to 1e-13 (relative)."""
     dim = a.shape[0]
     b = np.eye(dim) if b is None else b
     want = scipy.linalg.eigvalsh(a, b)
-    assert np.all(np.diff(lam) >= 0.0)
-    assert np.abs(lam - want).max() <= 1e-14 * np.abs(want).max()
-    assert v.flags.f_contiguous
+    if ascending:
+        assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(np.sort(lam) - want).max() <= 1e-14 * np.abs(want).max()
     assert np.abs(v.T @ b @ v - np.eye(dim)).max() <= 1e-13
     scale = np.linalg.norm(a, 2) * np.linalg.norm(v, 2)
     assert np.linalg.norm(a @ v - b @ v * lam, 2) <= 1e-13 * scale
 
 
-class TestEighPencil:
-    """A symmetric centrosymmetric pencil splits into two half-size pencils;
-    any other pencil runs one scipy eigh."""
+def group_permutations(n):
+    """The index maps J, P and JP of an n x n grid, as permutation matrices."""
+    dim = n * n
+    j = np.arange(dim)[::-1]
+    p = np.arange(dim).reshape(n, n).T.ravel()
+    return [np.eye(dim)[g] for g in (j, p, j[p])]
 
-    @pytest.mark.parametrize("a,b", assembled_pencils())
-    def test_assembled_pencil_splits(self, eigh_sizes, a, b):
-        dim = a.shape[0]
+
+class TestEighPencil:
+    """A symmetric pencil that commutes with the reversal J splits into two
+    half-size pencils, and one that also commutes with the grid transpose P
+    into four quarter-size ones; any other pencil runs one scipy eigh."""
+
+    @pytest.mark.parametrize("a,b,sizes", assembled_pencils())
+    def test_assembled_pencil_splits(self, eigh_sizes, a, b, sizes):
         a0, b0 = a.copy(), b.copy()
-        lam, v = eigh_pencil(a, b, overwrite_a=True, overwrite_b=True)
-        assert eigh_sizes == [dim - dim // 2, dim // 2]
+        lam, v = eigh_pencil(a, b)
+        assert eigh_sizes == sizes
         # the split reads its inputs only
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        assert v.flags.f_contiguous
         assert_pencil_eigenpairs(a, b, lam, v)
+
+    @pytest.mark.parametrize("a,b,sizes", assembled_pencils())
+    def test_block_basis_of_sparse_pencil(self, eigh_sizes, a, b, sizes):
+        basis = eigh_blocks(sp.csr_matrix(a), sp.csr_matrix(b))
+        assert eigh_sizes == sizes == [v.shape[0] for v in basis.vectors]
+        for lo, hi in zip(basis.bounds[:-1], basis.bounds[1:]):
+            assert np.all(np.diff(basis.lam[lo:hi]) >= 0.0)
+        assert_pencil_eigenpairs(a, b, basis.lam, basis.dense(), ascending=False)
+
+    @pytest.mark.parametrize("a,b,sizes", assembled_pencils()[::3])
+    def test_block_maps_match_dense_products(self, a, b, sizes):
+        basis = eigh_blocks(sp.csr_matrix(a), sp.csr_matrix(b))
+        v = basis.dense()
+        rng = np.random.default_rng(a.shape[0])
+        for shape in [(a.shape[0], 5), (2, a.shape[0], 3)]:
+            x = rng.standard_normal(shape)
+            for got, want in [(basis.analysis(x), v.T @ x), (basis.synthesis(x), v @ x)]:
+                assert got.shape == want.shape
+                scale = np.abs(v).max() * np.abs(x).sum(axis=-2).max()
+                assert np.abs(got - want).max() <= 1e-14 * scale
+        # V V' B is the identity
+        x = rng.standard_normal((a.shape[0], 4))
+        assert np.allclose(basis.synthesis(basis.analysis(b @ x)), x, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_spec_pencil_splits(self, eigh_sizes, seed):
-        # every assembled mesh is centrosymmetric, whatever the time data
-        spec = oracle.random_spec(np.random.default_rng(seed),
-                                  space="2d" if seed % 2 else "1d")
+        # every assembled mesh commutes with J, and every 2d one with P too,
+        # whatever the time data
+        space = "2d" if seed % 2 else "1d"
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
         a, m = spec.a_ref.scaled(spec.tau_ref).todense(), spec.mass.todense()
         lam, v = eigh_pencil(a, m)
-        assert len(eigh_sizes) == 2
+        assert len(eigh_sizes) == (4 if space == "2d" else 2)
         assert_pencil_eigenpairs(a, m, lam, v)
 
-    @pytest.mark.parametrize("a,b", assembled_pencils()[::3])
-    def test_standard_problem_splits(self, eigh_sizes, a, b):
+    @pytest.mark.parametrize("a,b,sizes", assembled_pencils()[::3])
+    def test_standard_problem_splits(self, eigh_sizes, a, b, sizes):
         lam, v = eigh_pencil(a, None)
-        assert len(eigh_sizes) == 2
+        assert len(eigh_sizes) == len(sizes)
         assert_pencil_eigenpairs(a, None, lam, v)
 
-    @pytest.mark.parametrize("a,b", assembled_pencils()[::3])
-    def test_eigvals_only(self, eigh_sizes, a, b):
+    @pytest.mark.parametrize("a,b,sizes", assembled_pencils()[::3])
+    def test_eigvals_only(self, eigh_sizes, a, b, sizes):
         lam = eigh_pencil(a, b, eigvals_only=True)
-        assert len(eigh_sizes) == 2
+        assert len(eigh_sizes) == len(sizes)
         want = scipy.linalg.eigvalsh(a, b)
         assert np.all(np.diff(lam) >= 0.0)
         assert np.abs(lam - want).max() <= 1e-14 * want.max()
 
     def test_repeated_eigenvalues_keep_orthonormal_basis(self):
         # the 2d stiffness is the 5-point Laplacian: its modes (k, l) and
-        # (l, k) share one eigenvalue and one parity (-1)^(k+l), so one half
-        # holds each repeated value
+        # (l, k) share one eigenvalue, and lie in the even and odd classes
+        # of the transpose
         a = ps.assemble_mass_stiffness_2d(6)[1].todense()
         lam, v = eigh_pencil(a, None)
         assert np.sum(np.diff(lam) <= 1e-12 * lam[-1]) >= 10
         assert_pencil_eigenpairs(a, None, lam, v)
+
+    @pytest.mark.parametrize("keep", ["J", "P"])
+    def test_one_symmetry_splits_two_ways(self, eigh_sizes, keep):
+        # two entries moved together with their images under the kept
+        # involution only
+        mass, stiff = ps.assemble_mass_stiffness_2d(6)
+        a, b = stiff.todense(), mass.todense()
+        image = {"J": lambda i: 24 - i, "P": lambda i: 5 * (i % 5) + i // 5}[keep]
+        for i, j in [(0, 1), (image(0), image(1))]:
+            a[i, j] = a[j, i] = a[i, j] + 0.25
+        lam, v = eigh_pencil(a, b)
+        # the classes of J: 13 even, 12 odd; of P: 15 even, 10 odd
+        assert eigh_sizes == ([13, 12] if keep == "J" else [15, 10])
+        assert_pencil_eigenpairs(a, b, lam, v)
 
     def test_random_pencil_runs_scipy(self, eigh_sizes):
         rng = np.random.default_rng(21)
@@ -263,6 +318,19 @@ class TestEighPencil:
         assert eigh_sizes == [16, 16]
         assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
 
+    def test_renumbered_sparse_pencil_runs_scipy(self, eigh_sizes):
+        spec = oracle.renumbered_spec(oracle.random_spec(np.random.default_rng(3), "2d"))
+        a, m = spec.a_ref.tocsr(), spec.mass.tocsr()
+        basis = eigh_blocks(a, m)
+        want_lam, want_v = scipy.linalg.eigh(a.toarray(), m.toarray())
+        assert eigh_sizes == [spec.dim, spec.dim]
+        assert len(basis.vectors) == 1
+        assert np.array_equal(basis.lam, want_lam)
+        assert np.array_equal(basis.vectors[0], want_v)
+        x = np.random.default_rng(0).standard_normal((spec.dim, 3))
+        assert np.array_equal(basis.analysis(x), want_v.T @ x)
+        assert np.array_equal(basis.synthesis(x), want_v @ x)
+
     @pytest.mark.parametrize("coupling", [2.0, -2.0], ids=["odd-half", "even-half"])
     def test_indefinite_b_names_b(self, eigh_sizes, coupling):
         # B = I with its corner couplings c: the half blocks hold 1 + c and
@@ -273,6 +341,18 @@ class TestEighPencil:
         with pytest.raises(NotSpdError, match="mass matrix is not SPD"):
             eigh_pencil(stiff.todense(), b, name="mass matrix")
         assert eigh_sizes == ([4, 3] if coupling > 0 else [4])
+
+    @pytest.mark.parametrize("cls", range(4))
+    def test_indefinite_class_of_b_names_b(self, eigh_sizes, cls):
+        # B = I - 2 P_c, with P_c = (1/4) sum_g chi_c(g) g the projector on
+        # class c: -1 on that class and 1 on the others
+        stiff = ps.assemble_mass_stiffness_2d(6)[1]
+        sj, sp_ = [(1, 1), (1, -1), (-1, 1), (-1, -1)][cls]
+        chi = [sj, sp_, sj * sp_]
+        b = 0.5 * np.eye(25) - 0.5 * sum(c * g for c, g in zip(chi, group_permutations(5)))
+        with pytest.raises(NotSpdError, match="mass matrix is not SPD"):
+            eigh_blocks(stiff.tocsr(), sp.csr_matrix(b), name="mass matrix")
+        assert eigh_sizes == oracle.class_sizes("2d", 6)[: cls + 1]
 
 
 class TestLanczos:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -174,7 +176,7 @@ class TestBatchedModes:
         grid = ps.build_time_grid("uniform", N, 1.0)
         spec = ps.make_heat_problem(space, cells, grid, data="zero")
         ht = ps.build_schur_preconditioner(spec, "direct")
-        assert (ht._eig is not None) == (spec.dim <= eig_limit)
+        assert (ht.eigenbasis(spec) is not None) == (spec.dim <= eig_limit)
         assert ht.batched is None
         reference = self.per_mode_reference(ht, spec, "direct", None)
         r = np.random.default_rng(N).standard_normal((N, spec.dim))
@@ -230,13 +232,13 @@ class TestUnscaledTransforms:
     def reference(ht, spec, r, slab=None):
         rhat = ht.plan.inverse_transpose(r)
         scale = 2.0 * ht.tau_ref / ht.N
-        eig = ht.eigenbasis(spec)
-        if eig is not None:
-            v, lam = eig
+        basis = ht.eigenbasis(spec)
+        if basis is not None:
+            lam = basis.lam
             d = (2.0 / ht.N) * lam / (ht.mu[:, None] + lam) ** 2
             if slab is not None:
                 return ht.plan.inverse(rhat * d[:, slab])
-            return ht.plan.inverse(((rhat @ v) * d) @ v.T)
+            return ht.plan.inverse(basis.synthesis(basis.analysis(rhat.T) * d.T).T)
         if ht.batched is None:
             rows = np.ascontiguousarray(rhat)
             out = np.empty_like(rows)
@@ -274,3 +276,67 @@ class TestUnscaledTransforms:
             for cols in (slice(None), slice(0, 3), slice(3, spec.dim)):
                 assert np.array_equal(ht.apply_inverse(r[:, cols], slab=cols),
                                       self.reference(ht, spec, r[:, cols], cols))
+
+
+class TestSymmetrySplit:
+    """The direct kind's eigensolve splits by the mirror symmetries of the
+    pencil, and the preconditioner keeps the eigenbasis as class blocks."""
+
+    @staticmethod
+    def specs():
+        rng = np.random.default_rng(8)
+        grid = ps.build_time_grid("uniform", 6, 1.0)
+        return {
+            "2d": oracle.random_spec(rng, space="2d"),
+            "1d": oracle.random_spec(rng, space="1d"),
+            # dim 9 is a perfect square, but a 1d pencil is not symmetric
+            # under the transpose of a 3 x 3 grid
+            "1d-h10": ps.make_heat_problem("1d", 10, grid, data="zero"),
+            "renumbered-2d": oracle.renumbered_spec(oracle.random_spec(rng, space="2d")),
+            "renumbered-1d": oracle.renumbered_spec(oracle.random_spec(rng, space="1d")),
+        }
+
+    @pytest.mark.parametrize("case", ["2d", "1d", "1d-h10", "renumbered-2d",
+                                      "renumbered-1d"])
+    def test_split_per_spec(self, eigh_sizes, case):
+        spec = self.specs()[case]
+        eigh_sizes.clear()
+        ht = ps.SchurPreconditioner(spec, "direct")
+        basis = ht.eigenbasis(spec)
+        assert [v.shape[0] for v in basis.vectors] == eigh_sizes
+        if case.startswith("renumbered"):
+            assert eigh_sizes == [spec.dim]
+        else:
+            # four classes in 2d, two in 1d: [5, 4] at h = 1/10
+            assert eigh_sizes == oracle.class_sizes(case[:2], spec.meta["mesh"])
+
+    def test_holds_no_dense_basis(self):
+        grid = ps.build_time_grid("perturbed", 8, 1.0, perturbation=0.3, seed=3)
+        spec = ps.make_heat_problem("2d", 16, grid, coeff=lambda t: 1.0 + t, data="zero")
+        ht = ps.SchurPreconditioner(spec, "direct")
+        basis = ht.eigenbasis(spec)
+        arrays = [x for x in vars(ht).values() if isinstance(x, np.ndarray)]
+        arrays += [basis.lam, *basis.vectors]
+        assert all(x.shape != (spec.dim, spec.dim) for x in arrays)
+        # four quarter-size blocks: 64, 56, 49 and 56 of dim 225
+        assert sum(v.size for v in basis.vectors) <= 0.26 * spec.dim**2
+
+    @pytest.mark.parametrize("kind,eig_limit", [
+        ("direct", ps.schur.EIG_DIM_LIMIT), ("direct", 0), ("mg", None), ("jacobi", None),
+    ], ids=["eigenbasis", "per-mode-lu", "mg", "jacobi"])
+    def test_setup_seconds(self, kind, eig_limit, monkeypatch):
+        if eig_limit is not None:
+            monkeypatch.setattr(ps.schur, "EIG_DIM_LIMIT", eig_limit)
+        grid = ps.build_time_grid("uniform", 16, 1.0)
+        spec = ps.make_heat_problem("2d", 8, grid, data="zero")
+        opts = {}
+        if kind == "mg":
+            opts["hierarchy"] = ps.build_mg_hierarchy("2d", 8)
+        start = time.perf_counter()
+        ht = ps.SchurPreconditioner(spec, kind, **opts)
+        wall = time.perf_counter() - start
+        assert 0.0 < ht.setup_seconds <= wall
+        start = time.perf_counter()
+        at = ps.BlockDiagSolver(spec, kind, **opts)
+        wall = time.perf_counter() - start
+        assert 0.0 < at.setup_seconds <= wall

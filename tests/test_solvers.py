@@ -1077,3 +1077,37 @@ class TestMinresEigenbasisPath:
         (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-10)
         assert h1.iterations == h2.iterations
         assert relative(u2, u1) <= 1e-10
+
+
+class TestRenumberedUnknowns:
+    """Renumbering the unknowns takes the mirror symmetries from the pencil,
+    so the direct Htilde's eigenbasis is one whole scipy eigh; the
+    eigenbasis bodies of Uzawa and MINRES run on it and agree with the
+    nodal bodies and with the sweep."""
+
+    @pytest.mark.parametrize("space", ["1d", "2d"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uzawa_and_minres_in_the_unsplit_eigenbasis(self, eigh_sizes, space, seed):
+        spec = oracle.renumbered_spec(
+            oracle.random_spec(np.random.default_rng(seed), space=space), seed)
+        assert len(spec.step_groups) == 1
+        modal, nodal, taken = TestEigenbasisPath.both(spec)
+        assert eigh_sizes == [spec.dim]
+        assert taken > 0
+        TestEigenbasisPath.check_agree(spec, modal, nodal)
+        system, at, ht = setup(spec)
+        calls = modal_calls(ht)
+        (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-12)
+        assert calls
+        nodal = ps.build_schur_preconditioner(copy.deepcopy(spec), "direct")
+        (p2, u2), h2 = ps.minres_solve(system, at, nodal, tol=1e-12)
+        assert h1.converged and h2.converged
+        assert relative(u1, u2) <= 1e-10 and relative(p1, p2) <= 1e-10
+        assert relative(u1, ps.sequential_euler_solve(spec)) <= 1e-8
+
+    def test_renumbered_problem_is_the_same_problem(self):
+        spec = oracle.random_spec(np.random.default_rng(5), space="2d")
+        renumbered = oracle.renumbered_spec(spec, seed=5)
+        perm = np.random.default_rng(5).permutation(spec.dim)
+        u = ps.sequential_euler_solve(spec)
+        assert relative(ps.sequential_euler_solve(renumbered), u[:, perm]) <= 1e-13
