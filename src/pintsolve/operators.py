@@ -68,6 +68,29 @@ def saddle_product(mass, abd, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray,
     return top, bottom
 
 
+def weighted_saddle_product(w: np.ndarray, p: np.ndarray, u: np.ndarray,
+                            top: np.ndarray, bottom: np.ndarray) -> None:
+    """``saddle_product`` with the identity mass and A_bd x = w * x (the
+    operators in an eigenbasis), written into top and bottom, which overlap
+    neither p nor u, in ten in-place passes and no temporary block.
+
+    top = w p - K u, and since K u + K' u = 2 u_n - u_{n-1} - u_{n+1}
+    (u_0 = u_{N+1} = 0), bottom = -(K' p + (2 + w) u - u_{n-1} - u_{n+1}).
+    The sums are grouped differently from ``saddle_product``'s, so the two
+    agree to rounding.
+    """
+    np.multiply(w, p, out=top)
+    np.subtract(top, u, out=top)
+    np.add(top[1:], u[:-1], out=top[1:])
+    np.add(w, 2.0, out=bottom)
+    np.multiply(bottom, u, out=bottom)
+    np.subtract(bottom[1:], u[:-1], out=bottom[1:])
+    np.subtract(bottom[:-1], u[1:], out=bottom[:-1])
+    np.add(bottom, p, out=bottom)
+    np.subtract(bottom[:-1], p[1:], out=bottom[:-1])
+    np.negative(bottom, out=bottom)
+
+
 class BlockDiagSolver:
     """Preconditioner for the per-step block: tau_n times a spatial solver.
 
@@ -97,8 +120,8 @@ class BlockDiagSolver:
         direct kind, built on the very step groups of system's problem."""
         return self.kind == "direct" and self._step_groups is system.spec.step_groups
 
-    def apply_inverse(self, b: np.ndarray,
-                      weights: np.ndarray | None = None) -> np.ndarray:
+    def apply_inverse(self, b: np.ndarray, weights: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """Solve every step, in column blocks of at most the solver's
         ``block_columns`` steps, spread over the threads.
 
@@ -107,9 +130,13 @@ class BlockDiagSolver:
         mode: the solve is b / weights, spread over the threads by mode.
         b may be a slab of the modes, with the same columns of the weights;
         in a pool task the division runs inline.
+
+        The result is written to out when given (an array of b's shape that
+        does not overlap b), else to a new Fortran-order block, and returned.
         """
         if weights is not None:
-            out = np.empty(b.shape, order="F")
+            if out is None:
+                out = np.empty(b.shape, order="F")
 
             def modes(cols: slice) -> None:
                 np.divide(b[:, cols], weights[:, cols], out=out[:, cols])
@@ -119,7 +146,8 @@ class BlockDiagSolver:
             parallel.add_seconds(self, "spatial_seconds", time.perf_counter() - start)
             return out
         bt = np.asarray(b, dtype=np.float64).T
-        out = np.empty(bt.shape).T
+        if out is None:
+            out = np.empty(bt.shape).T
         # steps is slice(None) when one group holds every step: its column
         # blocks are views of bt, not copies
         tasks = [

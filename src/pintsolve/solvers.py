@@ -8,6 +8,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import InputError, NotSpdError, SolverDivergenceError
 from .linalg import SpatialMatrix, SpdFactor, add_matrices
@@ -18,6 +19,7 @@ from .operators import (
     saddle_product,
     time_difference,
     time_difference_t,
+    weighted_saddle_product,
 )
 from .problems import ProblemSpec
 from .schur import SchurPreconditioner
@@ -205,11 +207,13 @@ class _OperatorSet:
     Schur complement form run on any set; the eigenbasis set needs an exact
     block solve, so it only meets the second.
 
-    abd_modes holds the (dim,) weights lam_j when A_bd is lam_j times the
-    identity in time on every spatial mode j: the eigenbasis set of a
-    problem whose tau_n A_n is one matrix at every step.  Then the third
-    Uzawa body runs the Schur complement form in the DST basis of Htilde
-    as well (see ``uzawa_solve``)."""
+    atilde also takes out=, a block to write its result into.  weights
+    holds the (N, dim) weights w of A_bd in the eigenbasis set (A_bd x =
+    w * x), None on nodal values.  abd_modes holds the (dim,) weights lam_j
+    when A_bd is lam_j times the identity in time on every spatial mode j:
+    the eigenbasis set of a problem whose tau_n A_n is one matrix at every
+    step.  Then the third Uzawa body runs the Schur complement form in the
+    DST basis of Htilde as well (see ``uzawa_solve``)."""
 
     mass: Callable[..., np.ndarray]
     abd: Callable[..., np.ndarray]
@@ -220,6 +224,7 @@ class _OperatorSet:
     dual_to_basis: Callable[[np.ndarray], np.ndarray] = _identity
     slabs: tuple[slice, ...] = (_ALL,)
     sum_axis: int | None = None
+    weights: np.ndarray | None = None
     abd_modes: np.ndarray | None = None
 
 
@@ -229,7 +234,7 @@ def _nodal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     return _OperatorSet(
         mass=lambda x, cols=_ALL: system.apply_M(x),
         abd=lambda x, cols=_ALL: system.apply_Abd(x),
-        atilde=lambda r, cols=_ALL: atilde.apply_inverse(r),
+        atilde=lambda r, cols=_ALL, out=None: atilde.apply_inverse(r, out=out),
         htilde=lambda r, cols=_ALL: htilde.apply_inverse(r),
     )
 
@@ -270,7 +275,8 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     return _OperatorSet(
         mass=lambda x, cols=_ALL: x,
         abd=lambda x, cols=_ALL: w[:, cols] * x,
-        atilde=lambda r, cols=_ALL: atilde.apply_inverse(r, weights=w[:, cols]),
+        atilde=lambda r, cols=_ALL, out=None: atilde.apply_inverse(
+            r, weights=w[:, cols], out=out),
         htilde=lambda r, cols=_ALL: htilde.apply_inverse(r, slab=cols),
         to_basis=lambda x: basis.analysis(spec.mass.dot(x.T)).T,
         from_basis=lambda x: basis.synthesis(x.T).T,
@@ -278,6 +284,7 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
         slabs=tuple(slice(lo, min(lo + width, spec.dim))
                     for lo in range(0, spec.dim, width)),
         sum_axis=0,
+        weights=w,
         abd_modes=w[0] if np.all(tau_s == tau_s[0]) else None,
     )
 
@@ -574,6 +581,16 @@ def _preconditioned_norm(r: np.ndarray, z: np.ndarray) -> float:
     return float(np.sqrt(beta2))
 
 
+def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
+    """y += a x in one pass, for C-contiguous float64 blocks of one shape."""
+    blas.daxpy(x.reshape(-1), y.reshape(-1), a=a)
+
+
+def _positive(a: np.ndarray) -> bool:
+    """True when every entry of a is finite and > 0 (NaN fails both tests)."""
+    return bool(np.all(a > 0.0) and np.all(a < np.inf))
+
+
 def minres_solve(
     system: TimeGlobalSystem,
     atilde: BlockDiagSolver,
@@ -583,28 +600,42 @@ def minres_solve(
 ) -> tuple[tuple[np.ndarray, np.ndarray], ConvergenceHistory]:
     """Block-diagonally preconditioned MINRES on the saddle-point system.
 
-    Paige & Saunders' recurrence, step for step as in
-    ``scipy.sparse.linalg.minres`` and with its stopping tests, on one
-    (2, dim, N) array whose [0].T and [1].T are the Fortran-order (N, dim)
-    blocks p and u.  Each iteration makes one saddle product and one
-    preconditioner application.  The recorded residual is the recurrence's
-    preconditioned residual norm phibar over beta1 = sqrt(g' P^-1 g), so it
-    costs nothing extra.
+    Paige & Saunders' recurrence and the stopping tests of
+    ``scipy.sparse.linalg.minres``, on (2, dim, N) arrays whose [0].T and
+    [1].T are the Fortran-order (N, dim) blocks p and u.  The Krylov blocks
+    (v, y, r1, r2, w and the two before it, x) rotate through seven such
+    arrays, taken in the first three iterations and reused after, and each
+    vector update is one in-place pass (``blas.daxpy`` on the flat arrays),
+    so that an iteration allocates no block outside the two preconditioners.
+    daxpy may fuse a multiply and an add, so the iterates match scipy's to
+    rounding, with the same iteration count.  Each iteration makes one
+    saddle product and one preconditioner application.  The recorded
+    residual is the recurrence's preconditioned residual norm phibar over
+    beta1 = sqrt(g' P^-1 g), so it costs nothing extra.
+
+    MINRES needs an SPD block preconditioner P.  On nodal values three
+    seeded random probes r' P^-1 r > 0 check it; every negative r' P^-1 r
+    met later raises ``NotSpdError`` too.
 
     When both block solves are exact in the eigenbasis of htilde (see
     ``_modal_set``), the recurrence runs on the basis coefficients, and p and
     u are mapped back once at the end: by the exact norm's map when the last
-    stop was decided on it, else by one more product each.  Its scalars pair
-    a primal block with a dual one and do not depend on the basis; scipy's
-    tests also read ynorm = ||x||_2 of the nodal iterate, which the basis
-    does not preserve.  Each iteration therefore tests first with the bound
-    ||x_hat||_2 / sqrt(sigma) >= ||x||_2, sigma a certified floor of M's
-    spectrum (see ``_mass_floor``), and only when some test would stop with
-    it takes the exact ||x_hat V'||_2 and decides on that.  No test can stop
-    for the bound and not for the exact norm, so the stops are scipy's.
-    Without a floor the exact norm is taken at every iteration.  Otherwise the
-    recurrence runs on nodal values, with the arithmetic of
-    ``system.apply_saddle``.  Both give the same iterates up to rounding.
+    stop was decided on it, else by one more product each.  The saddle
+    product there is ``weighted_saddle_product`` into the work block, and P
+    is diag(1/w) and, per spatial mode j, 4 S diag(D[:, j]) S' with S the
+    DST synthesis map and D ``htilde.mode_weights()``: it is SPD exactly when
+    every entry of w and D is finite and > 0, which replaces the probes.
+    The scalars of the recurrence pair a primal block with a dual one and do
+    not depend on the basis; scipy's tests also read ynorm = ||x||_2 of the
+    nodal iterate, which the basis does not preserve.  Each iteration
+    therefore tests first with the bound ||x_hat||_2 / sqrt(sigma) >=
+    ||x||_2, sigma a certified floor of M's spectrum (see ``_mass_floor``),
+    and only when some test would stop with it takes the exact
+    ||x_hat V'||_2 and decides on that.  No test can stop for the bound and
+    not for the exact norm, so the stops are scipy's.  Without a floor the
+    exact norm is taken at every iteration.  Otherwise the recurrence runs
+    on nodal values, with the arithmetic of ``system.apply_saddle``.  Both
+    give the same iterates up to rounding.
     """
     if max_iter < 1:
         raise InputError("iteration limit must be at least one")
@@ -612,36 +643,52 @@ def minres_solve(
     modal = ops is not None
     if not modal:
         ops = _nodal_set(system, atilde, htilde)
+    shape = (2, system.spec.dim, system.spec.N)
+    # work blocks the recurrence has let go of, taken before any new one
+    spare: list[np.ndarray] = []
+
+    def block() -> np.ndarray:
+        return spare.pop() if spare else np.empty(shape)
+
+    def precond(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        ops.atilde(r[0].T, out=out[0].T)
+        out[1] = ops.htilde(r[1].T).T
+        return out
+
+    if modal:
+        def matvec(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            weighted_saddle_product(ops.weights, v[0].T, v[1].T, out[0].T, out[1].T)
+            return out
+
+        # P = diag(1/w) (+) 4 S diag(D) S': SPD exactly when w and D are > 0
+        if not (_positive(ops.weights) and _positive(htilde.mode_weights())):
+            raise NotSpdError("block preconditioner is not positive definite")
+    else:
+        def matvec(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+            top, bottom = saddle_product(ops.mass, ops.abd, v[0].T, v[1].T)
+            out[0], out[1] = top.T, bottom.T
+            return out
+
+        # cheap positivity probe of the preconditioner
+        rng = np.random.default_rng(1234)
+        probe, z = block(), block()
+        for _ in range(3):
+            rng.standard_normal(out=probe)
+            if np.vdot(probe, precond(probe, z)) <= 0.0:
+                raise NotSpdError("block preconditioner is not positive definite")
+        spare += [probe, z]
+
     # g = (-f, -f); the coefficients of f are not kept
-    g = np.empty((2, system.spec.dim, system.spec.N))
+    g = np.empty(shape)
     g[0] = -ops.dual_to_basis(system.rhs).T
     g[1] = g[0]
     eps = np.finfo(np.float64).eps
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        top, bottom = saddle_product(ops.mass, ops.abd, v[0].T, v[1].T)
-        out[0], out[1] = top.T, bottom.T
-        return out
-
-    def precond(r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        out[0] = ops.atilde(r[0].T).T
-        out[1] = ops.htilde(r[1].T).T
-        return out
-
-    # cheap positivity probe of the preconditioner
-    rng = np.random.default_rng(1234)
-    for _ in range(3):
-        w = rng.standard_normal(g.shape)
-        if np.vdot(w, precond(w)) <= 0.0:
-            raise NotSpdError("block preconditioner is not positive definite")
-
     hist = ConvergenceHistory()
     fft0, spatial0 = _clocks(atilde, htilde)
     t0 = time.perf_counter()
-    x = np.zeros_like(g)
-    y = precond(g)
+    x = np.zeros(shape)
+    y = precond(g, block())
     beta1 = _preconditioned_norm(g, y)
     if beta1 == 0.0:
         hist.converged = True
@@ -687,21 +734,22 @@ def minres_solve(
             istop = 1
         return istop
 
-    w = np.zeros_like(g)
-    w2 = np.zeros_like(g)
-    r1 = g
-    r2 = g
+    # w1, w2 = w_{k-2}, w_{k-1} of the search directions, w_{-1} = w_0 = 0
+    w1, w2 = np.zeros(shape), np.zeros(shape)
+    r1 = r2 = g
     for itn in range(1, max_iter + 1):
         nodal = None  # x on nodal values, once the exact norm takes it
         v = y
         v *= 1.0 / beta
-        y = matvec(v)
+        y = matvec(v, block())
         if itn >= 2:
-            y -= (beta / oldb) * r1
+            _axpy(-(beta / oldb), r1, y)
         alfa = float(np.vdot(v, y))
-        y -= (alfa / beta) * r2
+        _axpy(-(alfa / beta), r2, y)
+        if r1 is not r2:  # both are g in the first iteration
+            spare.append(r1)
         r1, r2 = r2, y
-        y = precond(r2)
+        y = precond(r2, block())
         oldb = beta
         beta = _preconditioned_norm(r2, y)
         tnorm2 += alfa**2 + oldb**2 + beta**2
@@ -709,7 +757,7 @@ def minres_solve(
             istop = -1  # the preconditioned operator is a multiple of I
 
         # apply the previous rotation, then compute the next one (norm, not
-        # hypot, so that the iterates match scipy's bit for bit)
+        # hypot, as scipy does)
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
@@ -722,9 +770,13 @@ def minres_solve(
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x += phi * w
+        # w_k = (v - oldeps w1 - delta w2) / gamma, written over v
+        _axpy(-oldeps, w1, v)
+        _axpy(-delta, w2, v)
+        v *= 1.0 / gamma
+        spare.append(w1)
+        w1, w2 = w2, v
+        _axpy(phi, w2, x)
 
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)

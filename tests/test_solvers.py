@@ -1020,8 +1020,9 @@ class TestMinresEigenbasisPath:
         _, hist = ps.minres_solve(system, at, ht, tol=1e-12)
         assert hist.converged and hist.iterations > 10
         assert counts["saddle"] == 0
-        # the probe, beta_1, then one application per iteration
-        assert counts["eigenbasis"] == hist.iterations + 4
+        # beta_1, then one application per iteration: the positivity check
+        # in the eigenbasis is exact and applies nothing
+        assert counts["eigenbasis"] == hist.iterations + 1
         exact_norms = counts["from_basis"]
         assert 1 <= exact_norms <= hist.iterations // 3
 
@@ -1057,8 +1058,33 @@ class TestMinresEigenbasisPath:
             spec = oracle.random_spec(rng)
             before = counts["eigenbasis"]
             _, hist = ps.minres_solve(*setup(spec), tol=1e-10)
-            assert counts["eigenbasis"] - before == hist.iterations + 4
+            assert counts["eigenbasis"] - before == hist.iterations + 1
         assert counts["saddle"] == 0
+
+    @pytest.mark.parametrize("entry", [0.0, -1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("weights", ["mode", "block"])
+    def test_bad_weight_raises_before_iterating(self, weights, entry, monkeypatch):
+        # P^-1 is diag(1/w) and 4 S diag(D[:, j]) S' on spatial mode j: one
+        # entry of w or D that is not finite and > 0 leaves it not SPD, which
+        # a random probe finds only by chance.  An assembled problem has
+        # w > 0 (its base operator is SPD), so w takes the entry through one
+        # eigenvalue lam_j of the basis, while D, built before, stays positive
+        spec = oracle.random_spec(np.random.default_rng(23), space="2d")
+        system, at, ht = setup(spec)
+        bad = copy.copy(ht)
+        if weights == "mode":
+            bad._d_fortran = ht.mode_weights().copy(order="F")
+            bad._d_fortran[1, 2] = entry
+        else:
+            bad._basis = copy.copy(ht.eigenbasis(spec))
+            bad._basis.lam = bad._basis.lam.copy()
+            bad._basis.lam[3] = entry
+            assert np.all(bad.mode_weights() > 0.0)
+        assert ps.solvers._modal_set(system, at, bad) is not None
+        counts = self.spy(monkeypatch)
+        with pytest.raises(NotSpdError):
+            ps.minres_solve(system, at, bad, tol=1e-10)
+        assert counts == {"saddle": 0, "eigenbasis": 0, "from_basis": 0}
 
     def test_duck_typed_preconditioner_stays_nodal(self, monkeypatch):
         grid = ps.build_time_grid("uniform", 8, 1.0)
@@ -1077,6 +1103,52 @@ class TestMinresEigenbasisPath:
         (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-10)
         assert h1.iterations == h2.iterations
         assert relative(u2, u1) <= 1e-10
+
+
+class TestMinresWorkBlocks:
+    """MINRES rotates its Krylov vectors through work blocks that it takes
+    for one solve only: back-to-back solves agree exactly, and no result
+    shares memory with another."""
+
+    @staticmethod
+    def spec():
+        grid = ps.build_time_grid("perturbed", 12, 1.0, perturbation=0.3, seed=3)
+        return ps.make_heat_problem("2d", 8, grid, coeff=lambda t: 1.0 + t,
+                                    data="random", seed=3)
+
+    @pytest.mark.parametrize("solver", ["mg", "direct"])
+    def test_back_to_back_solves_agree(self, solver):
+        system, at, ht = setup(self.spec(), solver)
+        # mg block solves run on nodal values, direct ones in the eigenbasis
+        assert (ps.solvers._modal_set(system, at, ht) is None) == (solver == "mg")
+        (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-10)
+        (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-10)
+        assert h1.converged and h1.iterations > 5
+        assert h1.residual == h2.residual
+        assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
+        kept = p2.copy(), u2.copy()
+        p1[...] = np.nan
+        u1[...] = np.nan
+        assert np.array_equal(p2, kept[0]) and np.array_equal(u2, kept[1])
+        (p3, u3), h3 = ps.minres_solve(system, at, ht, tol=1e-10)
+        assert h3.residual == h2.residual
+        assert np.array_equal(p3, kept[0]) and np.array_equal(u3, kept[1])
+
+    def test_eigenbasis_runs_agree_on_one_and_two_threads(self):
+        spec = self.spec()
+        runs = []
+        try:
+            for threads in (1, 2):
+                ps.set_num_threads(threads)
+                system, at, ht = setup(spec)
+                assert ps.solvers._modal_set(system, at, ht) is not None
+                runs.append(ps.minres_solve(system, at, ht, tol=1e-10))
+        finally:
+            ps.set_num_threads(1)
+        ((p1, u1), h1), ((p2, u2), h2) = runs
+        assert h1.converged
+        assert h1.residual == h2.residual
+        assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
 
 
 class TestRenumberedUnknowns:
