@@ -372,40 +372,6 @@ class BlockBasis:
         return blocks if self._q is None else self._q @ blocks
 
 
-def _eigh_classes(a, b, name: str,
-                  eigvals_only: bool) -> tuple[_SymmetryFold | None, list]:
-    """(fold, results): scipy's eigh of each class block of the pencil, or
-    (None, [eigh of the whole pencil]) when it has no symmetry."""
-    names = ()
-    involutions = _involutions(np.shape(a)[0])
-    if involutions:
-        mats = [_canonical_csr(m) for m in ((a,) if b is None else (a, b))]
-        if (all(m is not None and m.shape == mats[0].shape for m in mats)
-                and all(_invariant(m, None) for m in mats)):
-            names = tuple(name for name, g in involutions.items()
-                          if all(_invariant(m, g) for m in mats))
-    try:
-        if not names:
-            # densified sparse inputs are this call's own copies
-            whole = [m.toarray() if sp.issparse(m) else m for m in (a, b)]
-            return None, [scipy.linalg.eigh(
-                whole[0], whole[1], eigvals_only=eigvals_only,
-                overwrite_a=sp.issparse(a), overwrite_b=sp.issparse(b),
-            )]
-        fold = _symmetry_fold(mats[0].shape[0], names)
-        blocks = [fold.blocks(m) for m in mats]
-        if b is None:
-            blocks.append([None] * len(blocks[0]))
-        # each block lives only through its own solve, which may overwrite it
-        return fold, [
-            scipy.linalg.eigh(x, y, eigvals_only=eigvals_only,
-                              overwrite_a=True, overwrite_b=True)
-            for x, y in zip(*blocks)
-        ]
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSpdError(f"{name} is not SPD: {exc}") from exc
-
-
 def eigh_blocks(a, b=None, name: str = "B") -> BlockBasis:
     """The eigenbasis of the pencil (A, B), A symmetric and B SPD (None for
     the identity), each a float64 array or sparse matrix, as a BlockBasis.
@@ -427,28 +393,32 @@ def eigh_blocks(a, b=None, name: str = "B") -> BlockBasis:
     Raises NotSpdError, naming B, when any block of B has no Cholesky
     factor.
     """
-    fold, results = _eigh_classes(a, b, name, False)
+    names = ()
+    involutions = _involutions(np.shape(a)[0])
+    if involutions:
+        mats = [_canonical_csr(m) for m in ((a,) if b is None else (a, b))]
+        if (all(m is not None and m.shape == mats[0].shape for m in mats)
+                and all(_invariant(m, None) for m in mats)):
+            names = tuple(name for name, g in involutions.items()
+                          if all(_invariant(m, g) for m in mats))
+    try:
+        if not names:
+            # densified sparse inputs are this call's own copies
+            whole = [m.toarray() if sp.issparse(m) else m for m in (a, b)]
+            lam, v = scipy.linalg.eigh(whole[0], whole[1], overwrite_a=sp.issparse(a),
+                                       overwrite_b=sp.issparse(b))
+            return BlockBasis(lam, [v])
+        fold = _symmetry_fold(mats[0].shape[0], names)
+        blocks = [fold.blocks(m) for m in mats]
+        if b is None:
+            blocks.append([None] * len(blocks[0]))
+        # each block lives only through its own solve, which may overwrite it
+        results = [scipy.linalg.eigh(x, y, overwrite_a=True, overwrite_b=True)
+                   for x, y in zip(*blocks)]
+    except scipy.linalg.LinAlgError as exc:
+        raise NotSpdError(f"{name} is not SPD: {exc}") from exc
     return BlockBasis(np.concatenate([lam for lam, _ in results]),
                       [v for _, v in results], fold)
-
-
-def eigh_pencil(a, b, name: str = "B", eigvals_only: bool = False):
-    """``scipy.linalg.eigh(a, b, ...)`` for A symmetric and B SPD, from the
-    class blocks of ``eigh_blocks``: the eigenvalues in ascending order (a
-    stable sort, so that ties keep the class order) and V, in Fortran order
-    as scipy returns it, with its columns in that order and V' B V = I.  A
-    pencil without symmetry returns scipy's eigh of the whole.  The inputs
-    are never overwritten.  Raises NotSpdError as ``eigh_blocks``.
-    """
-    fold, results = _eigh_classes(a, b, name, eigvals_only)
-    if fold is None:
-        return results[0]
-    if eigvals_only:
-        return np.sort(np.concatenate(results), kind="stable")
-    basis = BlockBasis(np.concatenate([lam for lam, _ in results]),
-                       [v for _, v in results], fold)
-    order = np.argsort(basis.lam, kind="stable")
-    return basis.lam[order], np.asfortranarray(basis.dense()[:, order])
 
 
 class LanczosResult(NamedTuple):

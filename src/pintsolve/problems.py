@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import SpatialMatrix, eigh_pencil
+from .linalg import SpatialMatrix, eigh_blocks
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,8 @@ def compute_alpha(
         if ref_scale is not None:
             lo = hi = scales / ref_scale
         else:
-            w = eigh_pencil(base.tocsr(), a_ref.tocsr(), eigvals_only=True)
-            lo, hi = w[0] * scales, w[-1] * scales
+            w = eigh_blocks(base.tocsr(), a_ref.tocsr()).lam
+            lo, hi = w.min() * scales, w.max() * scales
         taus = grid.steps[steps]
         lo, hi = lo * taus / tau_ref, hi * taus / tau_ref
         alpha = max(alpha, np.max(hi), np.max(1.0 / lo))

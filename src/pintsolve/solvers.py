@@ -30,22 +30,17 @@ from . import parallel
 # Uzawa loop: 32 modes at N = 1024, one slab for small problems.  Each slab
 # is one task per iteration, taken in turn by the calling thread and the
 # pool's workers, so smaller slabs cost more calls, and larger ones leave a
-# late worker's whole share to wait for.  Measured (median solve time, one
-# BLAS thread, 2-core host, 2 threads / 1 thread):
-#   1d h=1/128, N=1024: 16 modes 224 / 222 ms, 32 modes 179 / 221, 48 modes
-#     180 / 209, 64 modes 165 / 221, one slab of all 127 modes 317 / 220.
-#   2d h=1/32, N=200: 80 modes 426 / 400 ms, 160 modes 339 / 348, 320 modes
-#     323 / 359, one slab of all 961 modes 471 / 381.
-# 64 modes win back to back on free cores; four slabs bound the wait for a
-# worker that starts late (after a pause between solves) to a quarter of the
-# iteration, and keep the time per iteration steady from run to run.
-# The body in the DST basis (uniform steps, no coefficient), same host,
-# random data, 15 solves per size (1d) or 9 (2d), 1 thread / 2 threads:
-#   1d h=1/128, N=1024: 16 modes 63 / 69 ms, 32 modes 62 / 71, 64 modes
-#     58 / 68, one slab 64 / 66.
-#   2d h=1/32, N=256: 64 modes 144 / 155 ms, 128 modes 144 / 156, 256 modes
-#     140 / 146, one slab 156 / 158.
-# The differences lie within the quartiles, so the one size serves both.
+# late worker's whole share to wait for; four slabs bound that wait to a
+# quarter of the iteration.  Measured against one slab (median solve time,
+# one BLAS thread, 2-core host, random data, slabs 1 / 2 threads, then one
+# slab 1 / 2 threads):
+#   Schur complement form, perturbed steps and c(t):
+#     1d h=1/128, N=1024: 263 / 218 ms, one slab 269 / 249 ms.
+#     2d h=1/32, N=200: 137 / 146 ms, one slab 156 / 156 ms.
+#     1d h=1/512, N=2048: 2.99 / 1.78 s, one slab 2.99 / 2.98 s.
+#   DST basis, 1d h=1/128, N=1024: 60 / 75 ms, one slab 70 / 69 ms.
+# At the smaller sizes the differences lie mostly within the quartiles;
+# at dim 511, N = 2048 only the slabs let the second thread pay.
 SLAB_BYTES = 256 * 1024
 
 
@@ -58,10 +53,10 @@ class UzawaConfig:
     diagnostics: bool = False  # record exact error norms against the oracle
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise InputError("damping parameter must be positive")
-        if self.tol <= 0.0:
-            raise InputError("tolerance must be positive")
+        if not _positive(self.omega):
+            raise InputError("damping parameter must be positive and finite")
+        if not _positive(self.tol):
+            raise InputError("tolerance must be positive and finite")
         if self.max_iter < 1:
             raise InputError("iteration limit must be at least one")
         if self.stopping not in ("preconditioned_residual", "s_norm_error"):
@@ -637,6 +632,8 @@ def minres_solve(
     on nodal values, with the arithmetic of ``system.apply_saddle``.  Both
     give the same iterates up to rounding.
     """
+    if not _positive(tol):
+        raise InputError("tolerance must be positive and finite")
     if max_iter < 1:
         raise InputError("iteration limit must be at least one")
     ops = _modal_set(system, atilde, htilde)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import LanczosResult, SpatialMatrix, SpdFactor, eigh_pencil, lanczos_extremal_eig
+from .linalg import LanczosResult, SpatialMatrix, SpdFactor, eigh_blocks, lanczos_extremal_eig
 
 # Columns per block of the inexact kinds.  The V-cycle (or Jacobi)
 # temporaries made from a block are then small enough for the allocator to
@@ -56,13 +56,6 @@ class SpatialSolver:
     def apply(self, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward application of the implied preconditioner matrix.
-
-        Only exact solvers expose this; it is needed by diagnostic norms.
-        """
-        raise InputError(f"{type(self).__name__} has no forward operator")
-
 
 class DirectSolver(SpatialSolver):
     def __init__(self, target: SpatialMatrix):
@@ -71,9 +64,6 @@ class DirectSolver(SpatialSolver):
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         return self._factor.solve(b)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.target.dot(x)
 
 
 class _Blend:
@@ -222,9 +212,9 @@ class MgVCycleSolver(_BlendSolver):
     positive definite.  For a family shifts[j] * mass + target one hierarchy
     of (mass, target) pairs serves every member: each level costs two sparse
     products per block, the smoother uses a per-column diagonal, and the
-    coarsest level solves every member from one dense generalized
-    eigendecomposition target_c V = mass_c V diag(lam), as
-    V diag(1 / (shifts[j] + lam)) V'.
+    coarsest level solves every member from one eigenbasis of the pencil
+    (target_c, mass_c), a ``linalg.BlockBasis`` V with target_c V =
+    mass_c V diag(lam), as V diag(1 / (shifts[j] + lam)) V'.
     """
 
     def __init__(
@@ -246,12 +236,9 @@ class MgVCycleSolver(_BlendSolver):
         # restrictions P' as CSR once, not a new CSC transpose per product
         self._restrictions = [p.T.tocsr() for p in hierarchy.prolongations]
         coarse = ops[-1]
-        lam, self._coarse_v = eigh_pencil(
-            coarse.base.toarray(),
-            None if coarse.mass is None else coarse.mass.toarray(),
-            name="coarse mass",
-        )
-        denom = lam[:, None] if self._shifts is None else lam[:, None] + self._shifts
+        self._coarse_basis = eigh_blocks(coarse.base, coarse.mass, name="coarse mass")
+        lam = self._coarse_basis.lam[:, None]
+        denom = lam if self._shifts is None else lam + self._shifts
         if np.any(denom <= 0.0):
             raise NotSpdError("coarse operator is not SPD")
         # one column per shift and level: the damped inverse diagonal on the
@@ -261,8 +248,8 @@ class MgVCycleSolver(_BlendSolver):
 
     def _vcycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == len(self._ops) - 1:
-            v = self._coarse_v
-            return v @ (self._scales[level] * (v.T @ b))
+            basis = self._coarse_basis
+            return basis.synthesis(self._scales[level] * basis.analysis(b))
         op = self._ops[level]
         shifts = self._shifts
         dinv = self._scales[level]

@@ -346,6 +346,16 @@ class TestCli:
         assert main(["solve", "--h", "-3"]) == 1
         assert main(["table1", "--h", "xyz"]) == 1
 
+    @pytest.mark.parametrize("method,flag,value", [
+        ("uzawa", "--tol", "nan"), ("uzawa", "--omega", "nan"), ("uzawa", "--omega", "inf"),
+        ("minres", "--tol", "-1"), ("minres", "--tol", "nan"),
+    ])
+    def test_bad_tolerance_or_damping_exit_one(self, capsys, method, flag, value):
+        rc = main(["solve", "--h", "8", "--N", "8", "--method", method, flag, value,
+                   "--max-iter", "50"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_divergence_exit_three(self, capsys):
         rc = main(["solve", "--h", "8", "--N", "8", "--omega", "40.0",
                    "--max-iter", "300"])

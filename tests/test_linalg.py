@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import conftest as oracle
 import pintsolve as ps
 from pintsolve.errors import DimensionMismatchError, InputError, NotSpdError
-from pintsolve.linalg import eigh_blocks, eigh_pencil
+from pintsolve.linalg import eigh_blocks
 
 
 def spd_matrix(rng, dim):
@@ -191,14 +191,16 @@ def assembled_pencils():
     return out
 
 
-def assert_pencil_eigenpairs(a, b, lam, v, ascending=True):
-    """lam within 1e-14 lam_max of scipy's (ascending, or once sorted);
-    V'BV = I and AV = BV diag(lam) to 1e-13 (relative)."""
+def assert_pencil_eigenpairs(a, b, basis):
+    """The eigenvalues ascending within each class block and, once sorted,
+    within 1e-14 lam_max of scipy's; with V = ``basis.dense()``, V'BV = I
+    and AV = BV diag(lam) to 1e-13 (relative)."""
     dim = a.shape[0]
     b = np.eye(dim) if b is None else b
+    lam, v = basis.lam, basis.dense()
+    for lo, hi in zip(basis.bounds[:-1], basis.bounds[1:]):
+        assert np.all(np.diff(lam[lo:hi]) >= 0.0)
     want = scipy.linalg.eigvalsh(a, b)
-    if ascending:
-        assert np.all(np.diff(lam) >= 0.0)
     assert np.abs(np.sort(lam) - want).max() <= 1e-14 * np.abs(want).max()
     assert np.abs(v.T @ b @ v - np.eye(dim)).max() <= 1e-13
     scale = np.linalg.norm(a, 2) * np.linalg.norm(v, 2)
@@ -221,20 +223,17 @@ class TestEighPencil:
     @pytest.mark.parametrize("a,b,sizes", assembled_pencils())
     def test_assembled_pencil_splits(self, eigh_sizes, a, b, sizes):
         a0, b0 = a.copy(), b.copy()
-        lam, v = eigh_pencil(a, b)
-        assert eigh_sizes == sizes
-        # the split reads its inputs only
+        basis = eigh_blocks(a, b)
+        assert eigh_sizes == sizes == [v.shape[0] for v in basis.vectors]
+        # the split reads its dense inputs only
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
-        assert v.flags.f_contiguous
-        assert_pencil_eigenpairs(a, b, lam, v)
+        assert_pencil_eigenpairs(a, b, basis)
 
     @pytest.mark.parametrize("a,b,sizes", assembled_pencils())
     def test_block_basis_of_sparse_pencil(self, eigh_sizes, a, b, sizes):
         basis = eigh_blocks(sp.csr_matrix(a), sp.csr_matrix(b))
         assert eigh_sizes == sizes == [v.shape[0] for v in basis.vectors]
-        for lo, hi in zip(basis.bounds[:-1], basis.bounds[1:]):
-            assert np.all(np.diff(basis.lam[lo:hi]) >= 0.0)
-        assert_pencil_eigenpairs(a, b, basis.lam, basis.dense(), ascending=False)
+        assert_pencil_eigenpairs(a, b, basis)
 
     @pytest.mark.parametrize("a,b,sizes", assembled_pencils()[::3])
     def test_block_maps_match_dense_products(self, a, b, sizes):
@@ -257,33 +256,26 @@ class TestEighPencil:
         # whatever the time data
         space = "2d" if seed % 2 else "1d"
         spec = oracle.random_spec(np.random.default_rng(seed), space=space)
-        a, m = spec.a_ref.scaled(spec.tau_ref).todense(), spec.mass.todense()
-        lam, v = eigh_pencil(a, m)
+        a, m = spec.a_ref.scaled(spec.tau_ref), spec.mass
+        basis = eigh_blocks(a.tocsr(), m.tocsr())
         assert len(eigh_sizes) == (4 if space == "2d" else 2)
-        assert_pencil_eigenpairs(a, m, lam, v)
+        assert_pencil_eigenpairs(a.todense(), m.todense(), basis)
 
     @pytest.mark.parametrize("a,b,sizes", assembled_pencils()[::3])
     def test_standard_problem_splits(self, eigh_sizes, a, b, sizes):
-        lam, v = eigh_pencil(a, None)
-        assert len(eigh_sizes) == len(sizes)
-        assert_pencil_eigenpairs(a, None, lam, v)
-
-    @pytest.mark.parametrize("a,b,sizes", assembled_pencils()[::3])
-    def test_eigvals_only(self, eigh_sizes, a, b, sizes):
-        lam = eigh_pencil(a, b, eigvals_only=True)
-        assert len(eigh_sizes) == len(sizes)
-        want = scipy.linalg.eigvalsh(a, b)
-        assert np.all(np.diff(lam) >= 0.0)
-        assert np.abs(lam - want).max() <= 1e-14 * want.max()
+        basis = eigh_blocks(sp.csr_matrix(a))
+        assert eigh_sizes == sizes
+        assert_pencil_eigenpairs(a, None, basis)
 
     def test_repeated_eigenvalues_keep_orthonormal_basis(self):
         # the 2d stiffness is the 5-point Laplacian: its modes (k, l) and
         # (l, k) share one eigenvalue, and lie in the even and odd classes
         # of the transpose
         a = ps.assemble_mass_stiffness_2d(6)[1].todense()
-        lam, v = eigh_pencil(a, None)
+        basis = eigh_blocks(a)
+        lam = np.sort(basis.lam)
         assert np.sum(np.diff(lam) <= 1e-12 * lam[-1]) >= 10
-        assert_pencil_eigenpairs(a, None, lam, v)
+        assert_pencil_eigenpairs(a, None, basis)
 
     @pytest.mark.parametrize("keep", ["J", "P"])
     def test_one_symmetry_splits_two_ways(self, eigh_sizes, keep):
@@ -294,18 +286,20 @@ class TestEighPencil:
         image = {"J": lambda i: 24 - i, "P": lambda i: 5 * (i % 5) + i // 5}[keep]
         for i, j in [(0, 1), (image(0), image(1))]:
             a[i, j] = a[j, i] = a[i, j] + 0.25
-        lam, v = eigh_pencil(a, b)
+        basis = eigh_blocks(a, b)
         # the classes of J: 13 even, 12 odd; of P: 15 even, 10 odd
         assert eigh_sizes == ([13, 12] if keep == "J" else [15, 10])
-        assert_pencil_eigenpairs(a, b, lam, v)
+        assert_pencil_eigenpairs(a, b, basis)
 
     def test_random_pencil_runs_scipy(self, eigh_sizes):
         rng = np.random.default_rng(21)
         a, b = spd_matrix(rng, 9).todense(), spd_matrix(rng, 9).todense()
-        lam, v = eigh_pencil(a, b)
+        basis = eigh_blocks(a, b)
         want_lam, want_v = scipy.linalg.eigh(a, b)
         assert eigh_sizes == [9, 9]  # the pencil's and the reference's
-        assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
+        assert len(basis.vectors) == 1
+        assert np.array_equal(basis.lam, want_lam)
+        assert np.array_equal(basis.dense(), want_v)
 
     @pytest.mark.parametrize("which", ["A", "B"])
     def test_one_ulp_off_runs_scipy(self, eigh_sizes, which):
@@ -313,10 +307,12 @@ class TestEighPencil:
         a, b = stiff.todense(), mass.todense()
         moved = a if which == "A" else b
         moved[1, 2] = moved[2, 1] = np.nextafter(moved[1, 2], np.inf)
-        lam, v = eigh_pencil(a, b)
+        basis = eigh_blocks(a, b)
         want_lam, want_v = scipy.linalg.eigh(a, b)
         assert eigh_sizes == [16, 16]
-        assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
+        assert len(basis.vectors) == 1
+        assert np.array_equal(basis.lam, want_lam)
+        assert np.array_equal(basis.dense(), want_v)
 
     def test_renumbered_sparse_pencil_runs_scipy(self, eigh_sizes):
         spec = oracle.renumbered_spec(oracle.random_spec(np.random.default_rng(3), "2d"))
@@ -339,7 +335,7 @@ class TestEighPencil:
         b = np.eye(7)
         b[0, -1] = b[-1, 0] = coupling
         with pytest.raises(NotSpdError, match="mass matrix is not SPD"):
-            eigh_pencil(stiff.todense(), b, name="mass matrix")
+            eigh_blocks(stiff.todense(), b, name="mass matrix")
         assert eigh_sizes == ([4, 3] if coupling > 0 else [4])
 
     @pytest.mark.parametrize("cls", range(4))

@@ -158,6 +158,12 @@ class TestUzawa:
         with pytest.raises(InputError):
             ps.UzawaConfig(max_iter=0)
 
+    @pytest.mark.parametrize("name", ["omega", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(InputError):
+            ps.UzawaConfig(**{name: value})
+
 
 class TestMinres:
     def test_matches_sequential_solution(self):
@@ -243,6 +249,13 @@ class TestMinres:
         spec = ps.make_heat_problem("1d", 8, grid, data="sine")
         with pytest.raises(InputError):
             ps.minres_solve(*setup(spec), max_iter=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        grid = ps.build_time_grid("uniform", 4, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        with pytest.raises(InputError):
+            ps.minres_solve(*setup(spec), tol=tol)
 
     def test_sign_flipped_schur_preconditioner_raises(self):
         grid = ps.build_time_grid("uniform", 8, 1.0)

@@ -23,12 +23,6 @@ class TestDirectSolver:
         b = rng.standard_normal(stiff.dim)
         assert np.allclose(stiff.dot(solver.apply(b)), b, atol=1e-12)
 
-    def test_forward(self):
-        _, stiff = problem_matrices("1d", 8)
-        solver = ps.make_solver(stiff, "direct")
-        x = np.arange(1.0, 8.0)
-        assert np.allclose(solver.forward(x), stiff.dot(x))
-
 
 class TestJacobiSolver:
     def test_is_linear_and_symmetric(self):
@@ -42,12 +36,6 @@ class TestJacobiSolver:
         solver = ps.make_solver(stiff, "jacobi", sweeps=2)
         rho = ps.estimate_rho_A(stiff, solver)
         assert rho < 1.0
-
-    def test_forward_unavailable(self):
-        _, stiff = problem_matrices("1d", 8)
-        solver = ps.make_solver(stiff, "jacobi")
-        with pytest.raises(InputError):
-            solver.forward(np.zeros(7))
 
 
 class TestMultigrid:
@@ -82,6 +70,22 @@ class TestMultigrid:
         solver = ps.make_solver(stiff, "mg", hierarchy=hier)
         op = materialize_inverse(solver, stiff.dim)
         assert np.linalg.eigvalsh(0.5 * (op + op.T))[0] > 0
+
+    @pytest.mark.parametrize("space,cells", [("1d", 8), ("2d", 4)])
+    def test_coarsest_level_solves_family_exactly(self, eigh_sizes, space, cells):
+        # on a one-level hierarchy the whole solve is the coarsest level: one
+        # eigenbasis of (A, M), split by the mesh's mirror symmetries (dim 7
+        # in two classes, dim 9 in four), serves every member s M + A
+        mass, stiff = problem_matrices(space, cells)
+        shifts = np.array([0.0, 0.5, 3.0, 40.0])
+        solver = ps.MgVCycleSolver(stiff, ps.MgHierarchy(space, [cells], []),
+                                   mass=mass, shifts=shifts)
+        assert eigh_sizes == oracle.class_sizes(space, cells)
+        b = np.random.default_rng(cells).standard_normal((stiff.dim, shifts.size))
+        x = solver.apply(b)
+        for j, s in enumerate(shifts):
+            want = np.linalg.solve(s * mass.todense() + stiff.todense(), b[:, j])
+            assert np.abs(x[:, j] - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_hierarchy_rejects_odd_cells(self):
         with pytest.raises(InputError):
