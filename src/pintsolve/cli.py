@@ -19,6 +19,7 @@ from .problems import build_time_grid, load_problem, make_heat_problem
 from .schur import build_schur_preconditioner
 from .solvers import (
     UzawaConfig,
+    check_minres_options,
     minres_solve,
     sequential_euler_solve,
     uzawa_solve,
@@ -136,6 +137,12 @@ _RUN_COLUMNS = {"table1": ("h", "N"), "table2": ("h", "N", "iterations"),
 
 def _cmd_solve(args) -> tuple[str, bool]:
     """The solve output and whether the solve converged."""
+    # the solvers' own checks, before the set-up they would otherwise follow
+    if args.method == "minres":
+        check_minres_options(args.tol, args.max_iter)
+    elif args.method == "uzawa":
+        cfg = UzawaConfig(omega=args.omega, tol=args.tol, max_iter=args.max_iter,
+                          diagnostics=args.diagnostics)
     if args.problem_file:
         spec = load_problem(args.problem_file)
     else:
@@ -158,8 +165,6 @@ def _cmd_solve(args) -> tuple[str, bool]:
     if args.method == "minres":
         _, hist = minres_solve(system, at, ht, tol=args.tol, max_iter=args.max_iter)
     else:
-        cfg = UzawaConfig(omega=args.omega, tol=args.tol, max_iter=args.max_iter,
-                          diagnostics=args.diagnostics)
         _, hist = uzawa_solve(system, at, ht, cfg)
     if not hist.converged:
         sys.stderr.write(f"not converged after {hist.iterations} iterations\n")

@@ -68,14 +68,17 @@ class DstPlan:
         out /= self.N
         return out
 
-    def inverse(self, uhat: np.ndarray, scale: float = 0.5) -> np.ndarray:
+    def inverse(self, uhat: np.ndarray, scale: float = 0.5,
+                overwrite: bool = False) -> np.ndarray:
         """Apply the type-II DST (the synthesis map).
 
         scale multiplies scipy's unnormalized transform, which is twice the
         synthesis map: the default 0.5 gives the map itself, and 1.0 gives
         twice it with no scaling pass, for a caller that carries the factor
-        elsewhere (a power of two, so either way rounds alike)."""
-        return _dst(self._check(uhat), 2, scale)
+        elsewhere (a power of two, so either way rounds alike).  With
+        ``overwrite`` the transform may run in uhat's memory, and uhat is
+        left undefined; the result is the same."""
+        return _dst(self._check(uhat), 2, scale, overwrite=overwrite)
 
     def forward_transpose(self, v: np.ndarray) -> np.ndarray:
         out = _dst(self._check(v), 2)

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionMismatchError, InputError, NotSpdError
 
@@ -315,11 +316,43 @@ class _SymmetryFold:
         return out
 
 
+def csr_matmul_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray,
+                    accumulate: bool = False) -> np.ndarray:
+    """out = a @ x, or out += a @ x with ``accumulate``, for a float64 CSR
+    matrix a (any other format raises) and C-contiguous float64 (n, m)
+    blocks x and out that do not overlap; returns out.
+
+    scipy has no output argument for a sparse product with a dense block,
+    so this calls the kernel behind ``a @ x`` (``csr_matvecs``), which adds
+    a @ x to its output row by row.  Overwriting zeroes out first, so the
+    result is bit-identical to ``a @ x``.
+    """
+    rows, cols = a.shape
+    # the kernel reads indptr unchecked, so its length must be rows + 1
+    if getattr(a, "format", None) != "csr" or a.indptr.size != rows + 1:
+        raise DimensionMismatchError("a must be a CSR matrix")
+    if (x.ndim != 2 or out.ndim != 2 or x.shape[0] != cols
+            or out.shape != (rows, x.shape[1])):
+        raise DimensionMismatchError(
+            f"cannot write {a.shape} @ {x.shape} into {out.shape}")
+    if not all(m.dtype == np.float64 and m.flags.c_contiguous for m in (a.data, x, out)):
+        raise DimensionMismatchError("x and out must be C-contiguous float64 blocks")
+    if not accumulate:
+        out.fill(0.0)
+    _sparsetools.csr_matvecs(rows, cols, x.shape[1], a.indptr, a.indices, a.data,
+                             x.ravel(), out.ravel())
+    return out
+
+
 def _sparse_matmul(q: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """q @ x along axis -2 of x, as matmul would."""
+    """q @ x along axis -2 of x, as matmul would, into one C-order result:
+    a 3-D x takes one product per slice, each written in place."""
     if x.ndim <= 2:
         return q @ x
-    return np.stack([_sparse_matmul(q, xi) for xi in x])
+    out = np.empty(x.shape[:-2] + (q.shape[0], x.shape[-1]))
+    for xi, yi in zip(x.reshape((-1,) + x.shape[-2:]), out.reshape((-1,) + out.shape[-2:])):
+        csr_matmul_into(q, np.ascontiguousarray(xi), yi)
+    return out
 
 
 class BlockBasis:

@@ -158,7 +158,11 @@ class BlockDiagSolver:
 
         def task(i: int) -> None:
             solver, steps, divisor = tasks[i]
-            out.T[:, steps] = solver.apply(bt[:, steps]) / divisor
+            if isinstance(steps, slice):  # solve and divide in out's columns
+                np.divide(solver.apply(bt[:, steps], out=out.T[:, steps]), divisor,
+                          out=out.T[:, steps])
+            else:
+                out.T[:, steps] = solver.apply(bt[:, steps]) / divisor
 
         start = time.perf_counter()
         parallel.block_map(task, len(tasks))

@@ -12,14 +12,15 @@ a map by at most the one task it holds, and one that has not started when
 the tasks run out is cancelled.  A block map called from a task runs its
 tasks inline: the other threads are busy with the outer map.  A stage
 clocked in a task adds its share of the wall time (``add_seconds``), so the
-clocks stay within the wall time on any thread count.
+clocks stay within the wall time on any thread count.  Work arrays that a
+task writes are kept per thread (``WorkBlocks``).
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Hashable
 
 _lock = threading.Lock()
 _clock_lock = threading.Lock()
@@ -128,3 +129,26 @@ def add_seconds(owner: object, name: str, seconds: float) -> None:
         seconds /= _num_threads
     with _clock_lock:
         setattr(owner, name, getattr(owner, name) + seconds)
+
+
+class WorkBlocks:
+    """Work arrays that each thread makes once and then reuses.
+
+    ``get(key, make)`` returns make(key) from the calling thread's first
+    call with that key, and the same object on every later call there.  No
+    two threads share an entry, so tasks running at once each write to
+    their own arrays; a pool worker's entries go with the worker.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def get(self, key: Hashable, make: Callable[[Hashable], object]):
+        try:
+            cache = self._local.cache
+        except AttributeError:
+            cache = self._local.cache = {}
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = make(key)
+        return found

@@ -22,7 +22,14 @@ import numpy as np
 
 from .dst import DstPlan
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import BlockBasis, SpatialMatrix, SpdFactor, add_matrices, eigh_blocks
+from .linalg import (
+    BlockBasis,
+    SpatialMatrix,
+    SpdFactor,
+    add_matrices,
+    csr_matmul_into,
+    eigh_blocks,
+)
 from .problems import ProblemSpec
 from .spatial import MgHierarchy, SpatialSolver, build_mg_hierarchy, make_solver
 from . import parallel
@@ -132,6 +139,8 @@ class SchurPreconditioner:
                 mass=spec.mass, shifts=self.mu, **solver_opts,
             )
         self._a_factor: SpdFactor | None = None  # built only for exact mode
+        # the mode stage's per-thread blocks (inexact kinds)
+        self._work = parallel.WorkBlocks()
         self.fft_seconds = 0.0
         self.spatial_seconds = 0.0
         self.setup_seconds = time.perf_counter() - start
@@ -230,7 +239,8 @@ class SchurPreconditioner:
         t1 = time.perf_counter()
         out = stage(rhat)
         t2 = time.perf_counter()
-        u = self.plan.inverse(out, scale=1.0)
+        # the stage's output is this call's own block
+        u = self.plan.inverse(out, scale=1.0, overwrite=True)
         parallel.add_seconds(self, "fft_seconds", (t1 - t0) + (time.perf_counter() - t2))
         parallel.add_seconds(self, "spatial_seconds", t2 - t1)
         return u
@@ -240,7 +250,9 @@ class SchurPreconditioner:
         stage between the two unscaled DSTs of ``apply_inverse``.
 
         The inexact kinds run the whole solve, A_ref product, solve stage on
-        column blocks of at most ``batched.block_columns`` modes.
+        column blocks of at most ``batched.block_columns`` modes: the first
+        solve and the A_ref product go to this thread's two work blocks of
+        the column block's width, the second solve straight to the output.
         """
         if self._basis is not None:
             # each basis map on the whole block; chunking the columns would
@@ -264,14 +276,21 @@ class SchurPreconditioner:
         # the (dim, N) views, one column per mode
         rhat = rhat.T
         out = np.empty_like(rhat, order="C")
+        a_ref = self.a_ref.tocsr()
 
         def columns(cols: slice) -> None:
             s = self.batched.columns(cols)
-            y = self.a_ref.dot(s.apply(rhat[:, cols]))
-            out[:, cols] = scale * s.apply(y)
+            t, y = self._work.get(cols.stop - cols.start, self._new_work)
+            csr_matmul_into(a_ref, s.apply(rhat[:, cols], out=t), y)
+            block = out[:, cols]
+            s.apply(y, out=block)
+            block *= scale
 
         parallel.chunk_map(columns, self.N, self.batched.block_columns)
         return out.T
+
+    def _new_work(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((self.dim, m)), np.empty((self.dim, m))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Exact forward application; only meaningful with direct solvers."""

@@ -586,6 +586,15 @@ def _positive(a: np.ndarray) -> bool:
     return bool(np.all(a > 0.0) and np.all(a < np.inf))
 
 
+def check_minres_options(tol: float, max_iter: int) -> None:
+    """Raise InputError unless tol is positive and finite and max_iter >= 1:
+    the checks ``minres_solve`` makes before any work."""
+    if not _positive(tol):
+        raise InputError("tolerance must be positive and finite")
+    if max_iter < 1:
+        raise InputError("iteration limit must be at least one")
+
+
 def minres_solve(
     system: TimeGlobalSystem,
     atilde: BlockDiagSolver,
@@ -632,10 +641,7 @@ def minres_solve(
     on nodal values, with the arithmetic of ``system.apply_saddle``.  Both
     give the same iterates up to rounding.
     """
-    if not _positive(tol):
-        raise InputError("tolerance must be positive and finite")
-    if max_iter < 1:
-        raise InputError("iteration limit must be at least one")
+    check_minres_options(tol, max_iter)
     ops = _modal_set(system, atilde, htilde)
     modal = ops is not None
     if not modal:

@@ -16,29 +16,34 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
 from .errors import DimensionMismatchError, InputError, NotSpdError
-from .linalg import LanczosResult, SpatialMatrix, SpdFactor, eigh_blocks, lanczos_extremal_eig
+from .linalg import (
+    LanczosResult,
+    SpatialMatrix,
+    SpdFactor,
+    csr_matmul_into,
+    eigh_blocks,
+    lanczos_extremal_eig,
+)
 
-# Columns per block of the inexact kinds.  The V-cycle (or Jacobi)
-# temporaries made from a block are then small enough for the allocator to
-# reuse their memory instead of returning it to the OS and faulting it back
-# in, and a block is still wide enough to amortize the per-call cost of the
-# sparse products on every level.  A width fixed in columns, not in bytes,
-# because 256 KiB blocks (8 columns at dim 3969) lost to 32-64 columns.
-# Set-up plus Uzawa solve of 2d heat with one V-cycle, one thread, 2 MiB L2
-# (seconds, minor page faults):
-#   h=1/32, N=256 (dim 961): whole 256-column blocks 2.7-3.1 s, 375k-445k;
-#     64 columns 1.8-2.4 s, 20k-35k; 34 columns 1.6-2.3 s, 18k-36k;
-#     8, 16 and 128 columns slower.
-#   h=1/64, N=256 (dim 3969): whole 10.3-13.5 s, 490k-540k; 64 columns
-#     8.7-10.9 s, 130k-200k; 32 columns 9.2-9.6 s; 8 columns 11.9-15.3 s;
-#     128 columns 12.2-12.5 s.
-#   h=1/64, N=1024: whole 49.5-57.7 s, 560k-690k; 64 columns 54.0-57.4 s,
-#     290k-315k; 8 columns 57.8 s.
-#   h=1/16, N=1024 (dim 225): whole 2.5-2.8 s, 340k-390k; 64 columns
-#     2.2-2.3 s, 93k-99k; 145 columns 2.2-2.4 s; 16 and 32 columns slower.
-#   h=1/32, N=256, Jacobi, 40 iterations: whole 4.4 s, 490k; 64 columns
-#     3.2-3.4 s, 200k.
+# Columns per block of the inexact kinds.  A V-cycle runs on per-thread
+# work blocks and per-column tables of this width (see MgVCycleSolver), so
+# the width sets how much of a level's working set stays in L2 and how much
+# memory the solvers hold, while a block must stay wide enough to amortize
+# the Python cost of each pass and sparse product over its columns.
+# Set-up plus Uzawa solve of 2d heat with one V-cycle, N = 256, one thread
+# of a 2-core host with 2 MiB L2, one process per run (solve seconds over
+# three runs, peak RSS):
+#   h=1/32 (dim 961): 16 columns 0.78-0.89 s, 95 MB; 32 0.69-0.83 s,
+#     97 MB; 64 0.65-0.72 s, 99.5 MB; 128 0.67-0.78 s, 105 MB; whole
+#     256-column blocks 0.62-0.96 s, 113 MB.
+#   h=1/64 (dim 3969): 16 columns 3.3-3.6 s, 180 MB; 32 3.2-3.3 s, 186 MB;
+#     64 3.0-3.2 s, 198 MB; 128 3.2-3.4 s, 223 MB; whole 3.3-3.6 s, 255 MB.
+# The cycle that allocated its temporaries on every call took 0.82-0.90 s
+# (96 MB) and 3.8-4.2 s (181 MB) at 64 columns.  Alternating 32 and 64
+# columns in one process read medians 0.79 / 0.77 s at h=1/32 and
+# 4.2 / 4.0 s at h=1/64.
 BLOCK_COLUMNS = 64
 
 
@@ -46,14 +51,16 @@ class SpatialSolver:
     """Approximate inverse of an SPD spatial operator.
 
     ``apply`` takes a vector of length ``dim`` or a ``(dim, m)`` block whose
-    columns are independent right-hand sides.  ``block_columns`` is the
-    largest m worth passing at once, None for no limit.
+    columns are independent right-hand sides.  Given ``out``, an array of
+    b's shape that does not overlap b, it writes the result there.
+    ``block_columns`` is the largest m worth passing at once, None for no
+    limit.
     """
 
     target: SpatialMatrix
     block_columns: int | None = None
 
-    def apply(self, b: np.ndarray) -> np.ndarray:
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -62,26 +69,31 @@ class DirectSolver(SpatialSolver):
         self.target = target
         self._factor = SpdFactor(target)
 
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        return self._factor.solve(b)
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        x = self._factor.solve(b)
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 class _Blend:
-    """The operators shift_j * mass + base, one per column of a block.
+    """The operators base + shift_j * mass, one per column of a block.
 
     A single operator has no mass term; its one diagonal column then
-    broadcasts over any number of right-hand sides.
+    broadcasts over any number of right-hand sides.  ``stacked`` is the CSR
+    [base | mass] (base alone without mass): one product of it with the
+    (``rows``, m) block [x; shifts * x] applies every member to its column.
     """
 
     def __init__(self, base: sp.csr_matrix, mass: sp.csr_matrix | None):
         self.base = base
         self.mass = mass
-
-    def dot(self, x: np.ndarray, shifts: np.ndarray | None) -> np.ndarray:
-        y = self.base @ x
-        if self.mass is not None:
-            y += (self.mass @ x) * shifts
-        return y
+        self.dim = base.shape[0]
+        if mass is None:
+            self.stacked, self.rows = base, self.dim
+        else:
+            self.stacked, self.rows = sp.hstack([base, mass], format="csr"), 2 * self.dim
 
     def diagonal(self, shifts: np.ndarray | None) -> np.ndarray:
         d = self.base.diagonal()[:, None]
@@ -94,14 +106,45 @@ class _Blend:
         mass = None if self.mass is None else (p.T @ self.mass @ p).tocsr()
         return _Blend((p.T @ self.base @ p).tocsr(), mass)
 
+    def residual(self, z: np.ndarray, b: np.ndarray, shifts: np.ndarray | None,
+                 r: np.ndarray) -> np.ndarray:
+        """r = (base + shifts * mass) x - b for x = z[:dim], a C-order
+        (rows, m) block whose lower half it fills with shifts * x: one
+        stacked product added onto -b.  shifts is a C-order block of at
+        least dim rows, all equal."""
+        if self.mass is not None:
+            np.multiply(z[:self.dim], shifts[:self.dim], out=z[self.dim:])
+        np.negative(b, out=r)
+        return csr_matmul_into(self.stacked, z, r, accumulate=True)
+
+    def smooth(self, z: np.ndarray, b: np.ndarray, shifts: np.ndarray | None,
+               dinv: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One damped Jacobi step x - dinv (blend x - b) from x = z[:dim]
+        into out (which may be x), with r as work."""
+        self.residual(z, b, shifts, r)
+        r *= dinv
+        return np.subtract(z[:self.dim], r, out=out)
+
 
 class _BlendSolver(SpatialSolver):
     """Solvers that can act on a whole family of shifted operators at once.
 
     With ``mass`` and ``shifts`` given, column j of a ``(dim, len(shifts))``
     right-hand side block is solved against shifts[j] * mass + target; without
-    them every column is solved against target.  Subclasses keep their
-    per-column arrays in ``_scales``, which ``columns`` slices.
+    them every column is solved against target.  ``columns`` gives the same
+    solver restricted to some of the shifts.
+
+    The per-column arrays of a block of width m (the subclass's
+    ``_scale_table``, and the shifts repeated down dim rows) are kept as
+    C-order (dim_l, m) blocks, made on first use for each column range and
+    width and shared by the column views, so that every elementwise pass
+    runs on whole contiguous blocks.  One is kept for every range asked
+    for: column blocks that split a family hold as many entries together
+    as one table of all its columns.  Work arrays are kept per thread and
+    per block width (``parallel.WorkBlocks``), made by the subclass's
+    ``_new_work`` on first use and shared with the column views.  A call in
+    steady state then allocates nothing but its result when no ``out`` is
+    given, and the coarsest multigrid level's few (dim_c, m) products.
     """
 
     block_columns = BLOCK_COLUMNS
@@ -112,12 +155,17 @@ class _BlendSolver(SpatialSolver):
             raise InputError("mass and shifts must be given together")
         self.target = target
         self._shifts = None
+        # the columns of the family this object solves, None without shifts
+        self._cols: range | None = None
         if mass is not None:
             if mass.dim != target.dim:
                 raise DimensionMismatchError("mass and target dimensions differ")
             self._shifts = np.asarray(shifts, dtype=np.float64).reshape(1, -1)
+            self._cols = range(self._shifts.shape[1])
             mass = mass.tocsr()
         self._op = _Blend(target.tocsr(), mass)
+        self._tables: dict[tuple[range | None, int], tuple] = {}
+        self._work = parallel.WorkBlocks()
 
     def columns(self, cols: slice) -> "_BlendSolver":
         """The same solver restricted to the shifts in cols; shares all arrays."""
@@ -125,21 +173,48 @@ class _BlendSolver(SpatialSolver):
             return self
         view = copy.copy(self)
         view._shifts = self._shifts[:, cols]
-        view._scales = [a[:, cols] for a in self._scales]
+        view._cols = self._cols[cols]
         return view
 
-    def _block(self, b: np.ndarray) -> np.ndarray:
+    def _scale_table(self, shifts: np.ndarray | None) -> list[np.ndarray]:
+        """The per-column arrays for a (1, m) row of shifts, or for none."""
+        raise NotImplementedError
+
+    def _new_work(self, m: int):
+        raise NotImplementedError
+
+    def _table(self, m: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The scale table and repeated shifts for width m, as C-order blocks."""
+        key = (self._cols, m)
+        table = self._tables.get(key)
+        if table is None:
+            def block(a: np.ndarray, rows: int) -> np.ndarray:
+                return np.ascontiguousarray(np.broadcast_to(a, (rows, m)))
+
+            shifts = None if self._shifts is None else block(self._shifts, self._op.dim)
+            table = ([block(a, a.shape[0]) for a in self._scale_table(self._shifts)], shifts)
+            self._tables[key] = table
+        return table
+
+    def _block(self, b: np.ndarray, out: np.ndarray | None):
+        """b and the result block as (dim, m) arrays, the table and the
+        work of width m."""
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.target.dim:
             raise DimensionMismatchError(
                 f"expected {self.target.dim} rows, got shape {b.shape}"
             )
         x = b.reshape(b.shape[0], -1)
-        if self._shifts is not None and self._shifts.shape[1] not in (1, x.shape[1]):
+        m = x.shape[1]
+        if self._shifts is not None and self._shifts.shape[1] not in (1, m):
             raise DimensionMismatchError(
-                f"{self._shifts.shape[1]} shifts for {x.shape[1]} right-hand sides"
+                f"{self._shifts.shape[1]} shifts for {m} right-hand sides"
             )
-        return x
+        if out is None:
+            out = np.empty(x.shape)
+        elif out.shape != b.shape:
+            raise DimensionMismatchError(f"output of shape {out.shape} for {b.shape}")
+        return x, out.reshape(x.shape), self._table(m), self._work.get(m, self._new_work)
 
 
 class JacobiSolver(_BlendSolver):
@@ -151,16 +226,24 @@ class JacobiSolver(_BlendSolver):
             raise InputError("need at least one sweep")
         super().__init__(target, mass, shifts)
         self.sweeps = sweeps
-        # damped inverse diagonal, one column per shift
-        self._scales = [(2.0 / 3.0) / self._op.diagonal(self._shifts)]
 
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        rhs = self._block(b)
-        dinv = self._scales[0]
-        x = dinv * rhs
-        for _ in range(self.sweeps - 1):
-            x += dinv * (rhs - self._op.dot(x, self._shifts))
-        return x.reshape(np.shape(b))
+    def _scale_table(self, shifts: np.ndarray | None) -> list[np.ndarray]:
+        # damped inverse diagonal, one column per shift
+        return [(2.0 / 3.0) / self._op.diagonal(shifts)]
+
+    def _new_work(self, m: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        # [x; shifts * x] and the residual; one sweep writes only its result
+        if self.sweeps == 1:
+            return None, None
+        return np.empty((self._op.rows, m)), np.empty((self._op.dim, m))
+
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        rhs, y, ((dinv,), shifts), (z, r) = self._block(b, out)
+        x = y if self.sweeps == 1 else z[:self._op.dim]
+        np.multiply(dinv, rhs, out=x)
+        for sweep in range(1, self.sweeps):
+            self._op.smooth(z, rhs, shifts, dinv, r, y if sweep == self.sweeps - 1 else x)
+        return y.reshape(np.shape(b))
 
 
 def _prolongation_1d(coarse_cells: int) -> sp.csr_matrix:
@@ -210,11 +293,25 @@ class MgVCycleSolver(_BlendSolver):
     Galerkin coarse operators; one pre- and one post-smoothing step, damped
     by 2/3 in 1d and 4/5 in 2d, so that the realized operator is symmetric
     positive definite.  For a family shifts[j] * mass + target one hierarchy
-    of (mass, target) pairs serves every member: each level costs two sparse
-    products per block, the smoother uses a per-column diagonal, and the
-    coarsest level solves every member from one eigenbasis of the pencil
-    (target_c, mass_c), a ``linalg.BlockBasis`` V with target_c V =
-    mass_c V diag(lam), as V diag(1 / (shifts[j] + lam)) V'.
+    of (mass, target) pairs serves every member: each residual on a level is
+    one product of the stacked [target | mass] with [x; shifts * x], written
+    over -b, the smoother uses a per-column diagonal, and the coarsest level
+    solves every member from one eigenbasis of the pencil (target_c,
+    mass_c), a ``linalg.BlockBasis`` V with target_c V = mass_c V diag(lam),
+    as V diag(1 / (shifts[j] + lam)) V'.  The restriction is the precomputed
+    -P' (the residual carries the opposite sign), and the prolongation adds
+    straight into x.
+
+    Each thread keeps, for each block width m it is called with, three work
+    blocks per level l of dim_l unknowns: [x; shifts * x] (x alone without
+    a mass, and on the coarsest level), the residual (unused on the
+    coarsest level) and the right-hand side (on the finest level, the copy
+    of a strided one).  That is 32 m dim_l bytes per level with a mass
+    and 24 m dim_l without, and 24 m dim_c on the coarsest; cycles > 1 adds
+    the outer iterate, residual and correction.  At 2d h=1/32 (dims 961,
+    225, 49, 9, 1) and m = 64 a thread holds 2.5 MB with a mass and 1.9 MB
+    without.  The tables (see ``_BlendSolver``) are shared by the threads:
+    1.1 MB and 0.6 MB there for 64 columns.
     """
 
     def __init__(
@@ -229,43 +326,86 @@ class MgVCycleSolver(_BlendSolver):
         self.hierarchy = hierarchy
         self.cycles = cycles
         damping = 2.0 / 3.0 if hierarchy.space == "1d" else 4.0 / 5.0
+        # CSR whatever format the hierarchy holds, for csr_matmul_into
+        prolongations = [p.tocsr() for p in hierarchy.prolongations]
+        self._prolongations = prolongations
         ops = [self._op]
-        for p in hierarchy.prolongations:
+        for p in prolongations:
             ops.append(ops[-1].coarsen(p))
         self._ops = ops
-        # restrictions P' as CSR once, not a new CSC transpose per product
-        self._restrictions = [p.T.tocsr() for p in hierarchy.prolongations]
+        # -P' as CSR once: the restricted residual A x - b becomes the
+        # coarse right-hand side P' (b - A x)
+        self._restrictions = [(-p.T).tocsr() for p in prolongations]
+        self._damping = damping
         coarse = ops[-1]
         self._coarse_basis = eigh_blocks(coarse.base, coarse.mass, name="coarse mass")
-        lam = self._coarse_basis.lam[:, None]
-        denom = lam if self._shifts is None else lam + self._shifts
-        if np.any(denom <= 0.0):
+        if np.any(self._coarse_denominator(self._shifts) <= 0.0):
             raise NotSpdError("coarse operator is not SPD")
+
+    def _coarse_denominator(self, shifts: np.ndarray | None) -> np.ndarray:
+        lam = self._coarse_basis.lam[:, None]
+        return lam if shifts is None else lam + shifts
+
+    def _scale_table(self, shifts: np.ndarray | None) -> list[np.ndarray]:
         # one column per shift and level: the damped inverse diagonal on the
         # smoothing levels, the inverse spectrum on the coarsest
-        self._scales = [damping / op.diagonal(self._shifts) for op in ops[:-1]]
-        self._scales.append(1.0 / denom)
+        table = [self._damping / op.diagonal(shifts) for op in self._ops[:-1]]
+        table.append(1.0 / self._coarse_denominator(shifts))
+        return table
 
-    def _vcycle(self, level: int, b: np.ndarray) -> np.ndarray:
+    def _new_work(self, m: int) -> list[tuple[np.ndarray, ...]]:
+        """(z, r, b) per level, and the outer (z, r, dx) for cycles > 1."""
+        last = len(self._ops) - 1
+        work = [(np.empty((op.dim if level == last else op.rows, m)),
+                 np.empty((op.dim, m)), np.empty((op.dim, m)))
+                for level, op in enumerate(self._ops)]
+        if self.cycles > 1:
+            op = self._op
+            work.append((np.empty((op.rows, m)), np.empty((op.dim, m)),
+                         np.empty((op.dim, m))))
+        return work
+
+    def _vcycle(self, level: int, b: np.ndarray, out: np.ndarray, table,
+                work: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+        scales, shifts = table
         if level == len(self._ops) - 1:
+            # three fresh (dim_c, m) products; dim_c is at most 4 in 2d
             basis = self._coarse_basis
-            return basis.synthesis(self._scales[level] * basis.analysis(b))
+            out[...] = basis.synthesis(scales[level] * basis.analysis(b))
+            return out
+        z, r, _ = work[level]
         op = self._ops[level]
-        shifts = self._shifts
-        dinv = self._scales[level]
-        x = dinv * b
-        r = b - op.dot(x, shifts)
-        coarse = self._vcycle(level + 1, self._restrictions[level] @ r)
-        x += self.hierarchy.prolongations[level] @ coarse
-        x += dinv * (b - op.dot(x, shifts))
-        return x
+        dinv = scales[level]
+        x = z[:op.dim]
+        np.multiply(dinv, b, out=x)
+        op.residual(z, b, shifts, r)
+        coarse_z, _, coarse_b = work[level + 1]
+        coarse = coarse_z[:coarse_b.shape[0]]
+        csr_matmul_into(self._restrictions[level], r, coarse_b)
+        self._vcycle(level + 1, coarse_b, coarse, table, work)
+        csr_matmul_into(self._prolongations[level], coarse, x, accumulate=True)
+        return op.smooth(z, b, shifts, dinv, r, out)
 
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        rhs = self._block(b)
-        x = self._vcycle(0, rhs)
-        for _ in range(self.cycles - 1):
-            x += self._vcycle(0, rhs - self._op.dot(x, self._shifts))
-        return x.reshape(np.shape(b))
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        rhs, y, table, work = self._block(b, out)
+        if not rhs.flags.c_contiguous:
+            # a column block of a wider array: one copy, then every pass
+            # over it runs on one contiguous block
+            inner = work[0][2]
+            np.copyto(inner, rhs)
+            rhs = inner
+        if self.cycles == 1:
+            self._vcycle(0, rhs, y, table, work)
+            return y.reshape(np.shape(b))
+        # x += V(b - A x) as x -= V(A x - b): V is linear, so exactly equal
+        z, r, dx = work[-1]
+        x = z[:self._op.dim]
+        self._vcycle(0, rhs, x, table, work)
+        for cycle in range(1, self.cycles):
+            self._op.residual(z, rhs, table[1], r)
+            self._vcycle(0, r, dx, table, work)
+            np.subtract(x, dx, out=y if cycle == self.cycles - 1 else x)
+        return y.reshape(np.shape(b))
 
 
 def make_solver(target: SpatialMatrix, kind: str, hierarchy: MgHierarchy | None = None,

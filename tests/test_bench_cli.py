@@ -356,6 +356,22 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,flag,value", [
+        ("uzawa", "--tol", "nan"), ("uzawa", "--omega", "inf"), ("uzawa", "--max-iter", "0"),
+        ("minres", "--tol", "nan"), ("minres", "--tol", "0"), ("minres", "--max-iter", "0"),
+    ])
+    def test_bad_solver_options_fail_before_setup(self, capsys, monkeypatch,
+                                                  method, flag, value):
+        def build(*args, **kwargs):
+            raise AssertionError("preconditioner built before the options were checked")
+
+        monkeypatch.setattr(pintsolve.cli, "build_schur_preconditioner", build)
+        monkeypatch.setattr(pintsolve.cli, "BlockDiagSolver", build)
+        rc = main(["solve", "--space", "2d", "--h", "64", "--N", "256", "--solver", "mg",
+                   "--method", method, flag, value])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_divergence_exit_three(self, capsys):
         rc = main(["solve", "--h", "8", "--N", "8", "--omega", "40.0",
                    "--max-iter", "300"])

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import conftest as oracle
 import pintsolve as ps
 from pintsolve.errors import DimensionMismatchError, InputError, NotSpdError
-from pintsolve.linalg import eigh_blocks
+from pintsolve.linalg import _sparse_matmul, csr_matmul_into, eigh_blocks
 
 
 def spd_matrix(rng, dim):
@@ -130,6 +130,77 @@ class TestSpatialMatrix:
     def test_invalid_dim(self):
         with pytest.raises(InputError):
             ps.SpatialMatrix(0, [], [], [])
+
+
+class TestCsrMatmulInto:
+    """Sparse products written into existing blocks."""
+
+    @staticmethod
+    def matrix(index_dtype):
+        a = sp.random(40, 30, density=0.2, format="csr",
+                      random_state=np.random.default_rng(1))
+        a.indptr = a.indptr.astype(index_dtype)
+        a.indices = a.indices.astype(index_dtype)
+        return a
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_matches_product(self, index_dtype, m, accumulate):
+        a = self.matrix(index_dtype)
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((30, m))
+        start = rng.standard_normal((40, m))
+        out = start.copy()
+        assert csr_matmul_into(a, x, out, accumulate=accumulate) is out
+        if accumulate:
+            assert np.allclose(out, start + a @ x, rtol=1e-14, atol=1e-14)
+        else:
+            assert np.array_equal(out, a @ x)
+
+    @pytest.mark.parametrize("x_shape,out_shape", [
+        ((29, 3), (40, 3)), ((30, 3), (39, 3)), ((30, 3), (40, 4)), ((30,), (40,)),
+    ])
+    def test_rejects_shapes(self, x_shape, out_shape):
+        with pytest.raises(DimensionMismatchError):
+            csr_matmul_into(self.matrix(np.int32), np.zeros(x_shape), np.zeros(out_shape))
+
+    @pytest.mark.parametrize("which", ["x", "out"])
+    @pytest.mark.parametrize("bad", ["fortran", "strided", "float32"])
+    def test_rejects_layouts(self, which, bad):
+        blocks = {"x": np.zeros((30, 4)), "out": np.zeros((40, 4))}
+        rows = blocks[which].shape[0]
+        blocks[which] = {
+            "fortran": np.zeros((rows, 4), order="F"),
+            "strided": np.zeros((rows, 8))[:, ::2],
+            "float32": np.zeros((rows, 4), dtype=np.float32),
+        }[bad]
+        with pytest.raises(DimensionMismatchError):
+            csr_matmul_into(self.matrix(np.int32), blocks["x"], blocks["out"])
+
+    @pytest.mark.parametrize("bad", ["csc", "coo", "short indptr"])
+    def test_rejects_other_formats(self, bad):
+        # the kernel reads indptr unchecked: a CSC indptr of a matrix with
+        # more rows than columns would be read past its end
+        a = self.matrix(np.int32)
+        if bad == "short indptr":
+            a.indptr = a.indptr[:-1]
+        else:
+            a = a.asformat(bad)
+        with pytest.raises(DimensionMismatchError):
+            csr_matmul_into(a, np.zeros((30, 3)), np.zeros((40, 3)))
+
+    def test_fold_of_stacked_slices_is_one_result(self):
+        # a 3-D block takes the product of every slice, bit for bit, into
+        # one C-order array
+        a = self.matrix(np.int32)[:, :30]
+        x = np.random.default_rng(2).standard_normal((3, 30, 5))
+        got = _sparse_matmul(a, x)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.stack([a @ xi for xi in x]))
+        strided = np.random.default_rng(3).standard_normal((2, 30, 10))[:, :, ::2]
+        assert np.array_equal(_sparse_matmul(a, strided),
+                              np.stack([a @ xi for xi in strided]))
 
 
 class TestAddAndNorm:

@@ -429,6 +429,26 @@ class TestBlockDiagSolver:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+    @pytest.mark.parametrize("kind", ["direct", "mg", "jacobi"])
+    @pytest.mark.parametrize("groups", ["one", "three"])
+    def test_out_matches_returned_block(self, kind, groups):
+        # one group solves in out's own columns; interleaved groups gather
+        if groups == "one":
+            grid = ps.build_time_grid("perturbed", 30, 1.0, perturbation=0.3, seed=5)
+            spec = ps.make_heat_problem("1d", 8, grid, data="zero")
+        else:
+            spec = oracle.per_step_spec()
+        at = ps.BlockDiagSolver(spec, kind, hierarchy=ps.build_mg_hierarchy("1d", 8))
+        b = np.asfortranarray(np.random.default_rng(4).standard_normal((spec.N, spec.dim)))
+        before = b.copy()
+        want = at.apply_inverse(b)
+        out = np.full((spec.N, spec.dim), np.nan, order="F")
+        assert at.apply_inverse(b, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(at.apply_inverse(b), want)
+        assert np.array_equal(b, before)
+
+
 class TestNonFiniteData:
     @staticmethod
     def nan_load_problem():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -106,12 +108,116 @@ class TestMultigrid:
         oracle.assert_same_csr(_prolongation_1d(coarse_cells),
                                oracle.loop_prolongation_1d(coarse_cells))
 
+    @pytest.mark.parametrize("fmt", ["csc", "coo"])
+    def test_hierarchy_of_any_sparse_format(self, fmt):
+        # the cycle takes the prolongations as CSR whatever format they hold
+        mass, stiff = problem_matrices("2d", 8)
+        shifts = ps.frequency_weights(6)
+        hier = ps.build_mg_hierarchy("2d", 8)
+        other = ps.MgHierarchy(hier.space, hier.cells,
+                               [p.asformat(fmt) for p in hier.prolongations])
+        b = np.random.default_rng(8).standard_normal((stiff.dim, shifts.size))
+        want = ps.make_solver(stiff, "mg", hierarchy=hier, mass=mass,
+                              shifts=shifts).apply(b)
+        got = ps.make_solver(stiff, "mg", hierarchy=other, mass=mass,
+                             shifts=shifts).apply(b)
+        assert np.array_equal(got, want)
+
     def test_2d_prolongations_match_entrywise_build(self):
         hier = ps.build_mg_hierarchy("2d", 16)
         assert hier.cells == [16, 8, 4, 2]
         for c, p in zip(hier.cells[1:], hier.prolongations):
             p1 = oracle.loop_prolongation_1d(c)
             oracle.assert_same_csr(p, sp.kron(p1, p1))
+
+
+class TestWorkBlocks:
+    """The inexact kinds run on per-thread work blocks that carry nothing
+    from one call to the next."""
+
+    N = 40
+
+    @classmethod
+    def family(cls, kind):
+        mass, stiff = problem_matrices("2d", 8)
+        shifts = ps.frequency_weights(cls.N)
+        if kind == "mg":
+            return ps.make_solver(stiff, "mg", hierarchy=ps.build_mg_hierarchy("2d", 8),
+                                  mass=mass, shifts=shifts)
+        return ps.make_solver(stiff, "jacobi", sweeps=3, mass=mass, shifts=shifts)
+
+    @staticmethod
+    def blocked(solver, b, threads, width):
+        """Every column block of width at most width, spread over threads."""
+        out = np.full_like(b, np.nan)
+        ps.set_num_threads(threads)
+        try:
+            ps.parallel.chunk_map(
+                lambda cols: solver.columns(cols).apply(b[:, cols], out=out[:, cols]),
+                b.shape[1], width)
+        finally:
+            ps.set_num_threads(1)
+        return out
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    def test_bit_identical_across_threads_widths_and_calls(self, kind):
+        solver = self.family(kind)
+        b = np.random.default_rng(3).standard_normal((solver.target.dim, self.N))
+        want = solver.apply(b)
+        for threads in (1, 2, 3):
+            for width in (self.N, 7):
+                for _ in range(2):
+                    assert np.array_equal(self.blocked(solver, b, threads, width), want)
+        assert np.array_equal(solver.apply(b), want)
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    def test_nothing_carries_over_between_calls(self, kind):
+        solver = self.family(kind)
+        b = np.random.default_rng(4).standard_normal((solver.target.dim, self.N))
+        want = self.family(kind).apply(b)
+        assert np.isnan(solver.apply(np.full_like(b, np.nan))).all()
+        assert np.array_equal(solver.apply(b), want)
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    def test_out_matches_returned_result(self, kind):
+        solver = self.family(kind)
+        b = np.random.default_rng(5).standard_normal((solver.target.dim, self.N))
+        want = solver.apply(b)
+        # a strided column block of a wider array, as the callers pass
+        wide = np.zeros((solver.target.dim, 2 * self.N))
+        got = solver.apply(b, out=wide[:, ::2])
+        assert np.shares_memory(got, wide)
+        assert np.array_equal(wide[:, ::2], want)
+        assert not wide[:, 1::2].any()
+        with pytest.raises(ps.errors.DimensionMismatchError):
+            solver.apply(b, out=np.empty((solver.target.dim, self.N + 1)))
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    def test_column_views_match_batched_columns(self, kind):
+        solver = self.family(kind)
+        b = np.random.default_rng(6).standard_normal((solver.target.dim, self.N))
+        want = solver.apply(b)
+        for k in (0, 17, self.N - 1):
+            view = solver.columns(slice(k, k + 1))
+            assert np.array_equal(view.apply(b[:, k]), want[:, k])
+            out = np.empty(solver.target.dim)
+            view.apply(b[:, k], out=out)
+            assert np.array_equal(out, want[:, k])
+
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    def test_steady_state_allocates_nothing(self, kind):
+        solver = self.family(kind)
+        b = np.random.default_rng(7).standard_normal((solver.target.dim, self.N))
+        out = np.empty_like(b)
+        solver.apply(b, out=out)
+        tracemalloc.start()
+        try:
+            solver.apply(b, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # small Python objects only: one column of the block is 392 bytes
+        assert peak < b[:, 0].nbytes * 8
 
 
 class TestPreconditionerQualityEstimates:
