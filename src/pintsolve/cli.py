@@ -45,6 +45,17 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+def _subcommand_index(argv: list[str]) -> int:
+    """Index of the subcommand in argv: the first token that is neither an
+    option nor the value of --config (or of an abbreviation of it)."""
+    i = 0
+    while argv[i].startswith("-"):
+        opt = argv[i]
+        takes_value = "=" not in opt and len(opt) > 2 and "--config".startswith(opt)
+        i += 2 if takes_value else 1
+    return i
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pintsolve",
@@ -188,12 +199,10 @@ def main(argv: list[str] | None = None) -> int:
         except InputError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1
-        extra = []
-        for key, val in conf.items():
-            flag = f"--{key}"
-            if flag not in argv:
-                extra += [flag, val]
-        idx = 1 if argv and not argv[0].startswith("-") else len(argv)
+        # right after the subcommand, so that the command line's own flags
+        # come later and win
+        idx = _subcommand_index(argv) + 1
+        extra = [tok for key, val in conf.items() for tok in (f"--{key}", val)]
         argv = argv[:idx] + extra + argv[idx:]
     try:
         args = parser.parse_args(argv)

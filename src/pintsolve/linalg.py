@@ -27,9 +27,9 @@ class SpatialMatrix:
     """Sparse symmetric operator on the spatial space.
 
     The full operator is stored once, as canonical CSR, for fast products;
-    the upper-triangle coordinates ``rows``, ``cols`` and ``vals`` (used for
-    serialization) are derived from it on access.  A ``scaled`` copy builds
-    its CSR on first read.  Instances are immutable.
+    the constructor takes coordinates on either side of the diagonal, folds
+    them into the upper triangle and mirrors the strict part.  A ``scaled``
+    copy builds its CSR on first read.  Instances are immutable.
     """
 
     __slots__ = ("dim", "_csr", "_source", "_base", "_scale")
@@ -70,18 +70,6 @@ class SpatialMatrix:
         out = cls.__new__(cls)
         out._init(csr)
         return out
-
-    @property
-    def rows(self) -> np.ndarray:
-        return sp.triu(self.tocsr(), format="coo").row
-
-    @property
-    def cols(self) -> np.ndarray:
-        return sp.triu(self.tocsr(), format="coo").col
-
-    @property
-    def vals(self) -> np.ndarray:
-        return sp.triu(self.tocsr(), format="coo").data
 
     @classmethod
     def from_sparse(cls, m) -> "SpatialMatrix":

@@ -58,25 +58,16 @@ def time_difference_t(mx: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def saddle_product(mass, abd, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric indefinite two-by-two block operator on (p, u), given
-    the mass and A_bd products: two of each (M p, M u; A_bd p, A_bd u)."""
-    mu = mass(u)
-    ku = time_difference(mu)
-    top = abd(p) - ku
-    bottom = -time_difference_t(mass(p)) - (ku + time_difference_t(mu) + abd(u))
-    return top, bottom
-
-
 def weighted_saddle_product(w: np.ndarray, p: np.ndarray, u: np.ndarray,
                             top: np.ndarray, bottom: np.ndarray) -> None:
-    """``saddle_product`` with the identity mass and A_bd x = w * x (the
-    operators in an eigenbasis), written into top and bottom, which overlap
-    neither p nor u, in ten in-place passes and no temporary block.
+    """``TimeGlobalSystem.apply_saddle`` with the identity mass and
+    A_bd x = w * x (the operators in an eigenbasis), written into top and
+    bottom, which overlap neither p nor u, in ten in-place passes and no
+    temporary block.
 
     top = w p - K u, and since K u + K' u = 2 u_n - u_{n-1} - u_{n+1}
     (u_0 = u_{N+1} = 0), bottom = -(K' p + (2 + w) u - u_{n-1} - u_{n+1}).
-    The sums are grouped differently from ``saddle_product``'s, so the two
+    The sums are grouped differently from ``apply_saddle``'s, so the two
     agree to rounding.
     """
     np.multiply(w, p, out=top)
@@ -185,10 +176,6 @@ class TimeGlobalSystem:
         if diagnostic:
             self.build_exact_solvers()
 
-    @property
-    def diagnostic(self) -> bool:
-        return self._exact is not None
-
     def build_exact_solvers(self) -> None:
         if self._exact is None:
             self._exact = BlockDiagSolver(self.spec, "direct")
@@ -236,7 +223,12 @@ class TimeGlobalSystem:
 
         Makes two mass products (M p, M u) and two of A_bd (p, u).
         """
-        return saddle_product(self.apply_M, self.apply_Abd, p, u)
+        mu = self.apply_M(u)
+        ku = time_difference(mu)
+        top = self.apply_Abd(p) - ku
+        bottom = -time_difference_t(self.apply_M(p)) - (
+            ku + time_difference_t(mu) + self.apply_Abd(u))
+        return top, bottom
 
     # --- diagnostic-mode operators ---------------------------------------------
 

@@ -72,19 +72,39 @@ def build_time_grid(
     return TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
 
 
+def _assemble(elements: np.ndarray, *tables: np.ndarray) -> tuple[SpatialMatrix, ...]:
+    """One symmetric operator per element table, from the node numbers of
+    every element (one row each, -1 for a boundary node).
+
+    The entries are laid out in element order and those of boundary nodes
+    dropped; one COO to CSR conversion sums the duplicates, and exact zeros
+    are not stored.
+    """
+    dim = int(elements.max()) + 1
+    k = elements.shape[1]
+    rows = np.repeat(elements, k, axis=1).ravel()
+    cols = np.tile(elements, (1, k)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    out = []
+    for table in tables:
+        vals = np.tile(table.ravel(), len(elements))[keep]
+        csr = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        csr.eliminate_zeros()
+        out.append(SpatialMatrix._from_csr(csr))
+    return tuple(out)
+
+
 def assemble_mass_stiffness_1d(num_cells: int) -> tuple[SpatialMatrix, SpatialMatrix]:
     """P1 mass and stiffness on (0,1), homogeneous Dirichlet, uniform mesh."""
     if num_cells < 2:
         raise InputError("need at least 2 cells")
     h = 1.0 / num_cells
-    dim = num_cells - 1
-    main = np.arange(dim)
-    off = np.arange(dim - 1)
-    rows = np.concatenate([main, off])
-    cols = np.concatenate([main, off + 1])
-    m_vals = np.concatenate([np.full(dim, 4 * h / 6), np.full(dim - 1, h / 6)])
-    a_vals = np.concatenate([np.full(dim, 2.0 / h), np.full(dim - 1, -1.0 / h)])
-    return SpatialMatrix(dim, rows, cols, m_vals), SpatialMatrix(dim, rows, cols, a_vals)
+    # unknown number of every mesh node, -1 on the boundary
+    number = np.concatenate([[-1], np.arange(num_cells - 1), [-1]])
+    cells = np.stack([number[:-1], number[1:]], axis=-1)
+    return _assemble(cells, h / 6 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+                     np.array([[1.0, -1.0], [-1.0, 1.0]]) / h)
 
 
 # P1 element matrices on a right triangle with legs h (vertices ordered so the
@@ -98,47 +118,29 @@ def assemble_mass_stiffness_2d(cells_per_side: int) -> tuple[SpatialMatrix, Spat
 
     Each grid cell is split along the diagonal from its lower-left to its
     upper-right corner; homogeneous Dirichlet unknowns are the interior nodes.
-    Assembled from index arrays in element order (cells row by row, two
-    triangles each), keeping only the entries between interior nodes.  The
-    exact-zero ll-ur couplings of the stiffness element are not stored.
+    Assembled in element order (cells row by row, two triangles each),
+    keeping only the entries between interior nodes.  The exact-zero ll-ur
+    couplings of the stiffness element are not stored.
     """
     if cells_per_side < 2:
         raise InputError("need at least 2 cells per side")
     c = cells_per_side
     h = 1.0 / c
-    dim = (c - 1) ** 2
     # unknown number of every mesh node (row j, column i), -1 on the boundary
     number = np.full((c + 1, c + 1), -1, dtype=np.int64)
-    number[1:-1, 1:-1] = np.arange(dim).reshape(c - 1, c - 1)
+    number[1:-1, 1:-1] = np.arange((c - 1) ** 2).reshape(c - 1, c - 1)
     ll, lr = number[:-1, :-1], number[:-1, 1:]
     ul, ur = number[1:, :-1], number[1:, 1:]
     # right angles at lr and ul; both triangles share the ll-ur diagonal
     tris = np.stack([lr, ur, ll, ul, ll, ur], axis=-1).reshape(-1, 3)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    rows, cols = rows[keep], cols[keep]
-    area = 0.5 * h * h
-
-    def assemble(element: np.ndarray) -> SpatialMatrix:
-        vals = np.tile(element.ravel(), len(tris))[keep]
-        csr = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        csr.eliminate_zeros()
-        return SpatialMatrix._from_csr(csr)
-
-    return assemble(area * _MASS_EL), assemble(_STIFF_EL)
+    return _assemble(tris, 0.5 * h * h * _MASS_EL, _STIFF_EL)
 
 
-def interior_nodes_1d(num_cells: int) -> np.ndarray:
-    return np.arange(1, num_cells) / num_cells
-
-
-def interior_nodes_2d(cells_per_side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior node coordinates (x, y), ordered to match the assembly."""
-    c = cells_per_side
-    g = np.arange(1, c) / c
-    xx, yy = np.meshgrid(g, g)  # rows iterate y, matching node numbering
-    return xx.ravel(), yy.ravel()
+def _sine_data(cells: int, space: str) -> np.ndarray:
+    """The product of sines sin(pi x) (times sin(pi y) in 2d) at the
+    interior nodes, in the order of the assembly."""
+    s = np.sin(np.pi * (np.arange(1, cells) / cells))
+    return s if space == "1d" else np.outer(s, s).ravel()
 
 
 StepGroup = tuple[SpatialMatrix, "slice | np.ndarray", np.ndarray]
@@ -227,15 +229,6 @@ def compute_alpha(
     return float(alpha)
 
 
-def _sine_vector_1d(num_cells: int) -> np.ndarray:
-    return np.sin(np.pi * interior_nodes_1d(num_cells))
-
-
-def _sine_vector_2d(cells_per_side: int) -> np.ndarray:
-    x, y = interior_nodes_2d(cells_per_side)
-    return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
 def make_heat_problem(
     space: str,
     mesh: int,
@@ -257,12 +250,11 @@ def make_heat_problem(
     """
     if space == "1d":
         mass, a_base = assemble_mass_stiffness_1d(mesh)
-        sine = _sine_vector_1d(mesh)
     elif space == "2d":
         mass, a_base = assemble_mass_stiffness_2d(mesh)
-        sine = _sine_vector_2d(mesh)
     else:
         raise InputError(f"unknown space {space!r}")
+    sine = _sine_data(mesh, space)
     N, dim = grid.N, mass.dim
     if coeff is None:
         coeff = lambda t: 1.0  # noqa: E731

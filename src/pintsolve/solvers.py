@@ -16,7 +16,6 @@ from .operators import (
     BlockDiagSolver,
     TimeGlobalSystem,
     d_norm,
-    saddle_product,
     time_difference,
     time_difference_t,
     weighted_saddle_product,
@@ -164,8 +163,7 @@ def sequential_euler_solve(spec: ProblemSpec) -> np.ndarray:
     factors: dict[tuple[int, float], SpdFactor] = {}
     u = np.empty((spec.N, spec.dim))
     prev = spec.u_init
-    for n in range(spec.N):
-        tau = spec.grid.steps[n]
+    for n, tau in enumerate(spec.grid.steps):
         key = (id(spec.stiffness[n]), tau)
         if key not in factors:
             factors[key] = SpdFactor(add_matrices(1.0, spec.mass, tau, spec.stiffness[n]))
@@ -638,8 +636,8 @@ def minres_solve(
     ||x_hat V'||_2 and decides on that.  No test can stop for the bound and
     not for the exact norm, so the stops are scipy's.  Without a floor the
     exact norm is taken at every iteration.  Otherwise the recurrence runs
-    on nodal values, with the arithmetic of ``system.apply_saddle``.  Both
-    give the same iterates up to rounding.
+    on nodal values, and each saddle product is one ``system.apply_saddle``.
+    Both give the same iterates up to rounding.
     """
     check_minres_options(tol, max_iter)
     ops = _modal_set(system, atilde, htilde)
@@ -668,7 +666,7 @@ def minres_solve(
             raise NotSpdError("block preconditioner is not positive definite")
     else:
         def matvec(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-            top, bottom = saddle_product(ops.mass, ops.abd, v[0].T, v[1].T)
+            top, bottom = system.apply_saddle(v[0].T, v[1].T)
             out[0], out[1] = top.T, bottom.T
             return out
 

@@ -322,6 +322,8 @@ class MgVCycleSolver(_BlendSolver):
         mass: SpatialMatrix | None = None,
         shifts: np.ndarray | None = None,
     ):
+        if cycles < 1:
+            raise InputError("need at least one V-cycle")
         super().__init__(target, mass, shifts)
         self.hierarchy = hierarchy
         self.cycles = cycles

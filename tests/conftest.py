@@ -82,6 +82,31 @@ def loop_assembly_2d(cells):
     return tuple(out)
 
 
+def fold_mirror_assembly_1d(cells):
+    """(M, A) of ``assemble_mass_stiffness_1d`` from the three-point stencil
+    of their upper triangle, folded and mirrored by the ``SpatialMatrix``
+    constructor."""
+    h = 1.0 / cells
+    dim = cells - 1
+    main, off = np.arange(dim), np.arange(dim - 1)
+    rows = np.concatenate([main, off])
+    cols = np.concatenate([main, off + 1])
+    m_vals = np.concatenate([np.full(dim, 4 * h / 6), np.full(dim - 1, h / 6)])
+    a_vals = np.concatenate([np.full(dim, 2.0 / h), np.full(dim - 1, -1.0 / h)])
+    return (ps.SpatialMatrix(dim, rows, cols, m_vals),
+            ps.SpatialMatrix(dim, rows, cols, a_vals))
+
+
+def nodal_sine_data(space, cells):
+    """sin(pi x), times sin(pi y) in 2d, at the interior node coordinates,
+    ordered as the assembly numbers the nodes (x fastest)."""
+    g = np.arange(1, cells) / cells
+    if space == "1d":
+        return np.sin(np.pi * g)
+    xx, yy = np.meshgrid(g, g)
+    return np.sin(np.pi * xx.ravel()) * np.sin(np.pi * yy.ravel())
+
+
 def class_sizes(space, cells):
     """The sizes of the symmetry classes of an assembled pencil, from the
     characters of the group that the reversal J, and in 2d the transpose P,

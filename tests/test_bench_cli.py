@@ -391,6 +391,32 @@ class TestCli:
         assert main(["--config", str(conf), "table1", "--N", "8"]) == 0
         assert "1/16,8," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--N=4"], ["--N", "4"]])
+    @pytest.mark.parametrize("config", ["--config {}", "--config={}", "--conf {}"])
+    def test_explicit_flag_overrides_config_in_either_spelling(self, tmp_path,
+                                                                capsys, config, flag):
+        conf = tmp_path / "run.conf"
+        conf.write_text("N = 8\n")
+        rc = main([*config.format(conf).split(), "solve", "--method", "sequential",
+                   *flag])
+        assert rc == 0
+        assert capsys.readouterr().out.count("\n") == 5  # header plus N = 4 rows
+
+    def test_unknown_config_key_exit_one(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("N = 4\nno-such-option = 1\n")
+        assert main(["--config", str(conf), "solve", "--method", "sequential"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--space", "2d", "--h", "8", "--N", "8", "--solver", "mg"],
+        ["table2", "--h", "8", "--N", "16"],
+        ["spectral-check", "--h", "8", "--N", "8"],
+    ])
+    @pytest.mark.parametrize("cycles", ["0", "-1"])
+    def test_vcycles_below_one_exit_one(self, capsys, command, cycles):
+        assert main([*command, "--vcycles", cycles]) == 1
+        assert "V-cycle" in capsys.readouterr().err
+
     def test_missing_config_exit_one(self, capsys):
         assert main(["--config", "/nonexistent/x.conf", "table1"]) == 1
 

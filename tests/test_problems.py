@@ -77,6 +77,13 @@ class TestAssembly1d:
             total += (a * a + a * b + b * b) / 3.0 / cells
         assert u @ mass.dot(u) == pytest.approx(total, rel=1e-13)
 
+    @pytest.mark.parametrize("cells", list(range(2, 65)) + [128, 1024, 4096])
+    def test_matches_fold_and_mirror_build(self, cells):
+        # the element sums 2h/6 + 2h/6 and 1/h + 1/h round as 4h/6 and 2/h
+        for got, want in zip(ps.assemble_mass_stiffness_1d(cells),
+                             oracle.fold_mirror_assembly_1d(cells)):
+            oracle.assert_same_csr(got, want)
+
 
 class TestAssembly2d:
     def test_smallest_mesh(self):
@@ -213,6 +220,15 @@ class TestMakeHeatProblem:
             # pencil, so compare at a fine mesh and coarse tolerance
             errs.append(np.abs(u[-1] - exact).max())
         assert errs[1] < 0.7 * errs[0]
+
+    @pytest.mark.parametrize("space,cells",
+                             [("1d", c) for c in list(range(2, 40)) + [256, 1024]]
+                             + [("2d", c) for c in list(range(2, 20)) + [32, 64]])
+    def test_sine_data_matches_nodal_formula(self, space, cells):
+        grid = ps.build_time_grid("uniform", 1, 1.0)
+        spec = ps.make_heat_problem(space, cells, grid, data="sine")
+        sine = oracle.nodal_sine_data(space, cells)
+        assert spec.u_init.tobytes() == sine.tobytes()
 
     def test_zero_data(self):
         grid = ps.build_time_grid("uniform", 4, 1.0)

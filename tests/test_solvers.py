@@ -1059,6 +1059,16 @@ class TestMinresEigenbasisPath:
         exact_norms = counts["from_basis"]
         assert 1 <= exact_norms <= hist.iterations // 3
 
+    def test_nodal_products_go_through_apply_saddle(self, monkeypatch):
+        # multigrid block solves keep the recurrence on nodal values, where
+        # each iteration makes one saddle product of the system
+        system, at, ht = setup(TestMinresWorkBlocks.spec(), "mg")
+        counts = self.spy(monkeypatch)
+        _, hist = ps.minres_solve(system, at, ht, tol=1e-10)
+        assert hist.converged and hist.iterations > 5
+        assert counts["saddle"] == hist.iterations
+        assert counts["eigenbasis"] == 0
+
     def test_uncertified_floor_gives_the_same_stop(self, monkeypatch):
         spec = oracle.random_spec(np.random.default_rng(22), space="2d")
         system, at, ht = setup(spec)

@@ -89,6 +89,13 @@ class TestMultigrid:
             want = np.linalg.solve(s * mass.todense() + stiff.todense(), b[:, j])
             assert np.abs(x[:, j] - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("cycles", [0, -1])
+    def test_rejects_fewer_than_one_cycle(self, cycles):
+        _, stiff = problem_matrices("2d", 8)
+        hier = ps.build_mg_hierarchy("2d", 8)
+        with pytest.raises(InputError, match="V-cycle"):
+            ps.MgVCycleSolver(stiff, hier, cycles=cycles)
+
     def test_hierarchy_rejects_odd_cells(self):
         with pytest.raises(InputError):
             ps.build_mg_hierarchy("1d", 12)
