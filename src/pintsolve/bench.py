@@ -35,6 +35,10 @@ SCALING_CSV_HEADER = "threads,time_per_iter,total_time,fft_share,spatial_share"
 #   2d h=1/32, N=256, 246 016 unknowns: cap 272 reached, 76 s, 1117 MB.
 LANCZOS_BASIS_BYTES = 1 << 30
 
+# Rounding allowance of the spectral check: the Ritz values may leave the
+# proven bounds by this much before the check fails.
+SPECTRAL_SLACK = 1e-8
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -204,7 +208,6 @@ def run_spectral_check(
     solver_kind: str = "mg",
     vcycles: int = 1,
     seed: int = 7,
-    slack: float = 1e-8,
 ) -> list[dict]:
     """Verify the proven two-sided spectral bounds on one problem instance.
 
@@ -246,7 +249,7 @@ def run_spectral_check(
 
     bound_lo = gamma / (2.0 * alpha)
     bound_hi = 3.0 * alpha * big_gamma
-    ok = (lo >= bound_lo - slack) and (hi <= bound_hi + slack)
+    ok = (lo >= bound_lo - SPECTRAL_SLACK) and (hi <= bound_hi + SPECTRAL_SLACK)
     row = {
         "alpha": alpha,
         "gamma": gamma,
@@ -261,7 +264,7 @@ def run_spectral_check(
     if not ok:
         raise BoundViolationError(
             f"spectrum [{lo:.9g}, {hi:.9g}] leaves "
-            f"[{bound_lo:.9g}, {bound_hi:.9g}] by more than {slack:g}"
+            f"[{bound_lo:.9g}, {bound_hi:.9g}] by more than {SPECTRAL_SLACK:g}"
             + ("" if converged else " (Lanczos runs not converged)")
         )
     return [row]

@@ -149,6 +149,8 @@ _RUN_COLUMNS = {"table1": ("h", "N"), "table2": ("h", "N", "iterations"),
 def _cmd_solve(args) -> tuple[str, bool]:
     """The solve output and whether the solve converged."""
     # the solvers' own checks, before the set-up they would otherwise follow
+    if args.vcycles < 1:
+        raise InputError("need at least one V-cycle")
     if args.method == "minres":
         check_minres_options(args.tol, args.max_iter)
     elif args.method == "uzawa":

@@ -132,9 +132,6 @@ class SpatialMatrix:
             return a_scale / b_scale
         return None
 
-    def __matmul__(self, x):
-        return self.dot(x)
-
 
 def add_matrices(a: float, x: SpatialMatrix, b: float, y: SpatialMatrix) -> SpatialMatrix:
     """Linear combination a*X + b*Y of two symmetric sparse operators.

@@ -301,24 +301,15 @@ class TimeGlobalSystem:
         return float(np.sqrt(np.max(np.sum(u * self.spec.mass.dot(u.T).T, axis=1))))
 
 
-def d_norm(
-    p: np.ndarray,
-    u: np.ndarray,
-    omega: float,
-    rho_a: float,
-    apply_atilde: "callable",
-    apply_htilde: "callable",
-) -> float:
-    """Solver-analysis norm on saddle vectors.
+def d_norm(u: np.ndarray, apply_htilde: "callable") -> float:
+    """Solver-analysis norm of a principal error u: sqrt(u' Htilde u).
 
-    Needs forward applications of both preconditioners, so it is available in
-    direct-solver (diagnostic) mode only; with rho_a = 0 the auxiliary term
-    vanishes and apply_atilde may be None.
+    The norm's auxiliary term omega rho_A ||p||^2_Atilde needs a forward
+    Atilde, which only the exact block solves have, and there rho_A = 0, so
+    the term is left out.  apply_htilde is the forward Htilde, which only
+    direct spatial solves give (diagnostic mode).
     """
-    term = 0.0
-    if omega * rho_a != 0.0:
-        term = omega * rho_a * float(np.sum(p * apply_atilde(p)))
-    return float(np.sqrt(term + np.sum(u * apply_htilde(u))))
+    return float(np.sqrt(np.sum(u * apply_htilde(u))))
 
 
 def dense_operator(apply_fn, n_blocks: int, dim: int) -> np.ndarray:

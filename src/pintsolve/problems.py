@@ -235,8 +235,6 @@ def make_heat_problem(
     grid: TimeGrid,
     coeff: Callable[[float], float] | None = None,
     data: str = "sine",
-    tau_ref: float | None = None,
-    a_ref: SpatialMatrix | None = None,
     seed: int = 0,
 ) -> ProblemSpec:
     """Heat problem with optional time-dependent diffusion coefficient.
@@ -245,8 +243,9 @@ def make_heat_problem(
     "zero" (all-zero data), "manufactured" (decaying-sine exact-solution
     load with sine initial condition), or "random" (seeded random data).
 
-    Default reference pair: tau_ref is the geometric mean of the step sizes
-    and a_ref is the mid-interval operator A_{ceil(N/2)}.
+    Reference pair: tau_ref is the geometric mean of the step sizes and
+    a_ref is the mid-interval operator A_{ceil(N/2)}.  A problem with another
+    pair can be built as a ``ProblemSpec`` directly.
     """
     if space == "1d":
         mass, a_base = assemble_mass_stiffness_1d(mesh)
@@ -282,10 +281,8 @@ def make_heat_problem(
     else:
         raise InputError(f"unknown data descriptor {data!r}")
 
-    if tau_ref is None:
-        tau_ref = float(np.exp(np.mean(np.log(grid.steps))))
-    if a_ref is None:
-        a_ref = stiffness[math.ceil(N / 2) - 1]
+    tau_ref = float(np.exp(np.mean(np.log(grid.steps))))
+    a_ref = stiffness[math.ceil(N / 2) - 1]
     alpha = compute_alpha(mass, stiffness, grid, tau_ref, a_ref)
     return ProblemSpec(
         mass=mass,
@@ -302,15 +299,17 @@ def make_heat_problem(
 
 # --- plain-text serialization -------------------------------------------------
 #
-# Format (see README): a header line "pintsolve-problem 1", then sections:
+# Format (see README): a header line "pintsolve-problem 2", then sections:
 #   grid <N> <T>            followed by N+1 node lines
 #   scalars <tau_ref> <alpha>
 #   matrix <name> <dim> <nnz>  followed by nnz upper-triangle "i j value" lines
-#   stepscales <N>          per-step multiple of A_ref (one/line)
+#   operators <N+1>         "B_<k> <scale>" lines: A_ref, then A_1 ... A_N
 #   vector <name> <len>     followed by len value lines
-# Matrices written: M and A_ref, then "stepscales" when every A_n is a
-# multiple of A_ref, else each A_n as "matrix A_<n> ...".
-# Every number must be finite.
+# Matrices written: M, then each distinct base operator (the ``as_scaled``
+# root of A_ref and of every A_n) once, as B_1, B_2, ...  Every number must
+# be finite.  Version 1 files still load: their "stepscales <N>" section
+# lists A_n as multiples of "matrix A_ref", else each A_n is a
+# "matrix A_<n>" of its own.
 
 
 def _write_matrix(fh, name: str, m: SpatialMatrix) -> None:
@@ -327,24 +326,22 @@ def _write_vector(fh, name: str, v: np.ndarray) -> None:
 
 
 def save_problem(spec: ProblemSpec, path: str) -> None:
-    (base, _, scales), *others = spec.step_groups
-    ref_scale = spec.a_ref.proportionality(base)
-    proportional = not others and ref_scale is not None
+    operators = [spec.a_ref.as_scaled(), *(a_n.as_scaled() for a_n in spec.stiffness)]
+    names: dict[SpatialMatrix, str] = {}
+    for base, _ in operators:
+        names.setdefault(base, f"B_{len(names) + 1}")
     with open(path, "w") as fh:
-        fh.write("pintsolve-problem 1\n")
+        fh.write("pintsolve-problem 2\n")
         fh.write(f"grid {spec.N} {float(spec.grid.T)!r}\n")
         for t in spec.grid.nodes:
             fh.write(f"{float(t)!r}\n")
         fh.write(f"scalars {float(spec.tau_ref)!r} {float(spec.alpha)!r}\n")
         _write_matrix(fh, "M", spec.mass)
-        _write_matrix(fh, "A_ref", spec.a_ref)
-        if proportional:
-            fh.write(f"stepscales {spec.N}\n")
-            for s in scales / ref_scale:
-                fh.write(f"{float(s)!r}\n")
-        else:
-            for n, a_n in enumerate(spec.stiffness):
-                _write_matrix(fh, f"A_{n + 1}", a_n)
+        for base, name in names.items():
+            _write_matrix(fh, name, base)
+        fh.write(f"operators {len(operators)}\n")
+        for base, scale in operators:
+            fh.write(f"{names[base]} {float(scale)!r}\n")
         _write_vector(fh, "u_init", spec.u_init)
         for n in range(spec.N):
             _write_vector(fh, f"f_{n + 1}", spec.load[n])
@@ -399,7 +396,7 @@ def load_problem(path: str) -> ProblemSpec:
 
 
 def _parse_problem(lines: _LineReader) -> ProblemSpec:
-    if lines.next() != "pintsolve-problem 1":
+    if lines.next() not in ("pintsolve-problem 1", "pintsolve-problem 2"):
         raise InputError("unrecognized problem file header")
     N = int(lines.section("grid")[1])
     nodes = lines.floats(N + 1)
@@ -407,7 +404,8 @@ def _parse_problem(lines: _LineReader) -> ProblemSpec:
     tau_ref, alpha = lines.value(tok[1]), lines.value(tok[2])
     matrices: dict[str, SpatialMatrix] = {}
     vectors: dict[str, np.ndarray] = {}
-    scales: np.ndarray | None = None
+    # (matrix name, scale) of A_ref, then of A_1 ... A_N
+    operators: list[tuple[str, float]] | None = None
     for line in lines:
         tok = line.split()
         if tok[0] == "matrix":
@@ -419,8 +417,14 @@ def _parse_problem(lines: _LineReader) -> ProblemSpec:
                 cols.append(int(j))
                 vals.append(lines.value(v))
             matrices[name] = SpatialMatrix(dim, rows, cols, vals)
-        elif tok[0] == "stepscales":
-            scales = lines.floats(int(tok[1]))
+        elif tok[0] == "operators":
+            operators = []
+            for _ in range(int(tok[1])):
+                name, scale = lines.next().split()
+                operators.append((name, lines.value(scale)))
+        elif tok[0] == "stepscales":  # version 1: multiples of A_ref
+            operators = [("A_ref", 1.0)] + [
+                ("A_ref", float(s)) for s in lines.floats(int(tok[1]))]
         elif tok[0] == "vector":
             vectors[tok[1]] = lines.floats(int(tok[2]))
         else:
@@ -431,11 +435,14 @@ def _parse_problem(lines: _LineReader) -> ProblemSpec:
             raise lines.error(f"file ends without section {name!r}", lines.number + 1)
         return table[name]
 
-    a_ref = need(matrices, "A_ref")
-    if scales is not None:
-        stiffness = [a_ref.scaled(float(s)) for s in scales]
-    else:
-        stiffness = [need(matrices, f"A_{n + 1}") for n in range(N)]
+    if operators is None:  # version 1: a matrix per step
+        operators = [("A_ref", 1.0)] + [(f"A_{n + 1}", 1.0) for n in range(N)]
+    if not operators[0][1] > 0.0:  # the steps' scales are checked by group_steps
+        raise NotSpdError("reference operator A_ref is not SPD")
+    a_ref, *stiffness = [
+        need(matrices, name) if scale == 1.0 else need(matrices, name).scaled(scale)
+        for name, scale in operators
+    ]
     return ProblemSpec(
         mass=need(matrices, "M"),
         stiffness=stiffness,

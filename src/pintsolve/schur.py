@@ -50,8 +50,11 @@ from . import parallel
 # The eigenbasis is faster on both counts at every mesh measured.  This
 # limit was set when the basis was one dense V and the per-application
 # crossover lay near dim 800 in 1d and dim 2000 in 2d; it now leaves 1d
-# dim 1023 on its slower side (2d dim 3969 was not measured).  Moving it
-# is left to a measured rule that also weighs memory.
+# dim 1023 on its slower side.  Above it (LU extrapolated from 8 modes,
+# plus the two DSTs): 1.2 / 2.5-2.9 s and 91-97 / 169-195 ms at 2d dim
+# 3969, where the eigenbasis still wins, but 6.6-7.3 / 0.49 s and 184-186
+# / 49-51 ms at 1d dim 4095, where its two half-size blocks lose.  Moving
+# it is left to a measured rule that also weighs memory.
 EIG_DIM_LIMIT = 1000
 
 

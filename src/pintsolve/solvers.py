@@ -122,16 +122,15 @@ class RateReport:
     damping_ok: bool
 
 
-def safe_damping(alpha: float, margin: float = 0.9) -> float:
+def safe_damping(alpha: float) -> float:
     """Damping parameter that provably contracts with exact block solves.
 
     The preconditioned spectrum is bounded by 3*alpha, so any omega with
-    omega * 3 * alpha < 2 converges; margin scales how close to that edge
-    the returned value sits.
+    omega * 3 * alpha < 2 converges; the returned value is 0.9 of that edge.
     """
     if alpha < 1.0:
         raise InputError("quasi-uniformity constant is at least one")
-    return margin * 2.0 / (3.0 * alpha)
+    return 0.9 * 2.0 / (3.0 * alpha)
 
 
 def compute_rate_report(
@@ -173,8 +172,10 @@ def sequential_euler_solve(spec: ProblemSpec) -> np.ndarray:
 
 
 def _clocks(atilde: BlockDiagSolver, htilde: SchurPreconditioner) -> tuple[float, float]:
-    """(fft, spatial) seconds the two preconditioners have clocked so far."""
-    return htilde.fft_seconds, atilde.spatial_seconds + htilde.spatial_seconds
+    """(fft, spatial) seconds the two preconditioners have clocked so far; a
+    custom htilde without clocks counts 0."""
+    return (getattr(htilde, "fft_seconds", 0.0),
+            atilde.spatial_seconds + getattr(htilde, "spatial_seconds", 0.0))
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -193,12 +194,12 @@ class _OperatorSet:
 
     slabs split the spatial columns into the slices that one Uzawa
     iteration runs on, one task each, and each of the four operators takes
-    a slab of a block with its columns (every column by default).  The
-    residual sums over each slab along sum_axis: per column (0) when the
-    columns are independent modes, so that the sums do not depend on the
-    slabs, else over the whole block (None).  The two-stage Uzawa body and
-    Schur complement form run on any set; the eigenbasis set needs an exact
-    block solve, so it only meets the second.
+    a slab of a block with its columns (every column by default).  Uzawa
+    sums its residuals over each slab per column when the columns are
+    independent modes (the eigenbasis set, the one with weights), so that
+    the sums do not depend on the slabs, else over the whole block.  The
+    two-stage Uzawa body and Schur complement form run on any set; the
+    eigenbasis set needs an exact block solve, so it only meets the second.
 
     atilde also takes out=, a block to write its result into.  weights
     holds the (N, dim) weights w of A_bd in the eigenbasis set (A_bd x =
@@ -216,7 +217,6 @@ class _OperatorSet:
     from_basis: Callable[[np.ndarray], np.ndarray] = _identity
     dual_to_basis: Callable[[np.ndarray], np.ndarray] = _identity
     slabs: tuple[slice, ...] = (_ALL,)
-    sum_axis: int | None = None
     weights: np.ndarray | None = None
     abd_modes: np.ndarray | None = None
 
@@ -276,7 +276,6 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
         dual_to_basis=lambda x: basis.analysis(x.T).T,
         slabs=tuple(slice(lo, min(lo + width, spec.dim))
                     for lo in range(0, spec.dim, width)),
-        sum_axis=0,
         weights=w,
         abd_modes=w[0] if np.all(tau_s == tau_s[0]) else None,
     )
@@ -365,7 +364,8 @@ def uzawa_solve(
     ops = None if diagnostics else _modal_set(system, atilde, htilde)
     if ops is None:
         ops = _nodal_set(system, atilde, htilde)
-    record_d = diagnostics and atilde.kind == "direct" and htilde.solver_kind == "direct"
+    record_d = (diagnostics and atilde.kind == "direct"
+                and getattr(htilde, "solver_kind", None) == "direct")
 
     f = ops.dual_to_basis(system.rhs)
     ref = np.sqrt(
@@ -378,8 +378,10 @@ def uzawa_solve(
         p, u = ops.to_basis(p), ops.to_basis(u)
 
     slabs = ops.slabs
-    # the two residual sums of each slab: per mode, or one for the block
-    sums = np.empty((2, 1 if ops.sum_axis is None else spec.dim))
+    # the two residual sums of each slab: per mode in the eigenbasis, or one
+    # for the block
+    sum_axis = None if ops.weights is None else 0
+    sums = np.empty((2, 1 if sum_axis is None else spec.dim))
 
     def steps(k: int) -> Iterator[None]:
         """The two-stage iteration on the columns slabs[k] of every block,
@@ -399,7 +401,7 @@ def uzawa_solve(
             r1 -= fk
             dp = ops.atilde(r1, cols)
             pk += dp
-            sums[0, cols] = np.sum(np.multiply(r1, dp, out=r1), axis=ops.sum_axis)
+            sums[0, cols] = np.sum(np.multiply(r1, dp, out=r1), axis=sum_axis)
             # r1 is free from here on: it holds K u + K' u + A_bd u, then
             # omega y
             np.subtract(fk, time_difference_t(ops.mass(pk, cols), out=z), out=z)
@@ -409,7 +411,7 @@ def uzawa_solve(
             z -= r1
             y = ops.htilde(z, cols)
             uk += np.multiply(y, cfg.omega, out=r1)
-            sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=ops.sum_axis)
+            sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=sum_axis)
             yield
 
     def schur_steps(k: int) -> Iterator[None]:
@@ -436,7 +438,7 @@ def uzawa_solve(
             np.subtract(t, t_old, out=t_old)
             np.subtract(p_new, pk, out=pk)
             sums[0, cols] = np.sum(np.multiply(t_old, pk, out=t_old),
-                                   axis=ops.sum_axis)
+                                   axis=sum_axis)
             np.copyto(pk, p_new)
             t, t_old = t_old, t
             # p_new is free from here on: it holds p' + u
@@ -444,7 +446,7 @@ def uzawa_solve(
             time_difference_t(ops.mass(s, cols), out=z)
             z += ops.abd(s, cols)
             y = ops.htilde(z, cols)
-            sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=ops.sum_axis)
+            sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=sum_axis)
             uk -= np.multiply(y, cfg.omega, out=y)
             yield
 
@@ -529,10 +531,7 @@ def uzawa_solve(
         if diagnostics:
             s_err = system.s_norm(u - u_star) / s_norm_ref
             if record_d:
-                # exact block solves: rho_a = 0, so Atilde's forward drops out
-                d_err = d_norm(
-                    p + u_star, u - u_star, cfg.omega, 0.0, None, htilde.apply
-                )
+                d_err = d_norm(u - u_star, htilde.apply)
         fft, spatial = _clocks(atilde, htilde)
         hist.append(res, s_err, d_err, time.perf_counter() - t0,
                     fft - fft0, spatial - spatial0)

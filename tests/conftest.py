@@ -241,6 +241,35 @@ def per_step_spec(seed=0):
     )
 
 
+def save_problem_v1(spec, path):
+    """The version-1 problem file writer, kept as an oracle for the loader:
+    A_ref as a matrix, then a "stepscales" section when every A_n is a
+    multiple of A_ref, else one "matrix A_<n>" per step."""
+    from pintsolve.problems import _write_matrix, _write_vector
+
+    (base, _, scales), *others = spec.step_groups
+    ref_scale = spec.a_ref.proportionality(base)
+    proportional = not others and ref_scale is not None
+    with open(path, "w") as fh:
+        fh.write("pintsolve-problem 1\n")
+        fh.write(f"grid {spec.N} {float(spec.grid.T)!r}\n")
+        for t in spec.grid.nodes:
+            fh.write(f"{float(t)!r}\n")
+        fh.write(f"scalars {float(spec.tau_ref)!r} {float(spec.alpha)!r}\n")
+        _write_matrix(fh, "M", spec.mass)
+        _write_matrix(fh, "A_ref", spec.a_ref)
+        if proportional:
+            fh.write(f"stepscales {spec.N}\n")
+            for s in scales / ref_scale:
+                fh.write(f"{float(s)!r}\n")
+        else:
+            for n, a_n in enumerate(spec.stiffness):
+                _write_matrix(fh, f"A_{n + 1}", a_n)
+        _write_vector(fh, "u_init", spec.u_init)
+        for n in range(spec.N):
+            _write_vector(fh, f"f_{n + 1}", spec.load[n])
+
+
 def renumbered_spec(spec, seed=0):
     """spec with its unknowns renumbered by one seeded permutation: M, every
     A_n, the load and u_init.  Each A_n stays the same multiple of its

@@ -291,34 +291,40 @@ class TestCli:
         assert err[0].startswith("not converged: ")
 
     @staticmethod
-    def varcoef_problem_lines(tmp_path) -> list[str]:
+    def varcoef_problem_lines(tmp_path, save=pintsolve.save_problem) -> list[str]:
         import pintsolve as ps
 
         grid = ps.build_time_grid("uniform", 6, 1.0)
         spec = ps.make_heat_problem("1d", 8, grid, coeff=lambda t: 1.0 + t,
                                     data="random", seed=5)
         path = tmp_path / "prob.txt"
-        ps.save_problem(spec, str(path))
+        save(spec, str(path))
         return path.read_text().splitlines()
 
     @staticmethod
-    def replace_first_value(lines: list[str], section: str, value: str) -> int:
-        """Put value into the first value slot of a section; its line number."""
+    def replace_first_value(lines: list[str], section: str, value: str,
+                            skip: int = 0) -> int:
+        """Put value into the first value slot of a section, or of its value
+        line skip + 1; its line number."""
         index = next(i for i, line in enumerate(lines)
                      if line.startswith(section + " "))
         if section == "scalars":
             tok = lines[index].split()
             lines[index] = " ".join([tok[0], value, tok[2]])
         else:
-            index += 1
-            lines[index] = value
+            index += 1 + skip
+            tok = lines[index].split()
+            lines[index] = " ".join(tok[:-1] + [value])
         return index + 1
 
     @pytest.mark.parametrize("method", ["sequential", "uzawa", "minres"])
-    @pytest.mark.parametrize("section", ["vector u_init", "stepscales", "scalars"])
+    @pytest.mark.parametrize("section",
+                             ["vector u_init", "stepscales", "scalars", "operators"])
     def test_non_finite_problem_file_exit_one(self, tmp_path, capsys, method,
                                               section):
-        lines = self.varcoef_problem_lines(tmp_path)
+        lines = self.varcoef_problem_lines(
+            tmp_path,
+            oracle.save_problem_v1 if section == "stepscales" else pintsolve.save_problem)
         number = self.replace_first_value(lines, section, "nan")
         path = tmp_path / "nan.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -328,13 +334,26 @@ class TestCli:
 
     @pytest.mark.parametrize("method", ["sequential", "uzawa", "minres"])
     def test_zero_step_scale_exit_one(self, tmp_path, capsys, method):
-        lines = self.varcoef_problem_lines(tmp_path)
+        lines = self.varcoef_problem_lines(tmp_path, oracle.save_problem_v1)
         self.replace_first_value(lines, "stepscales", "0.0")
         path = tmp_path / "zero.txt"
         path.write_text("\n".join(lines) + "\n")
         rc = main(["solve", "--problem-file", str(path), "--method", method])
         assert rc == 1
         assert "step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["sequential", "uzawa", "minres"])
+    @pytest.mark.parametrize("skip,operator", [(0, "A_ref"), (1, "step 1")])
+    def test_zero_operator_scale_exit_one(self, tmp_path, capsys, method, skip,
+                                           operator):
+        lines = self.varcoef_problem_lines(tmp_path)
+        # the first operators line is A_ref's, the second step 1's
+        self.replace_first_value(lines, "operators", "0.0", skip=skip)
+        path = tmp_path / "zero.txt"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--problem-file", str(path), "--method", method])
+        assert rc == 1
+        assert operator in capsys.readouterr().err
 
     def test_spectral_check_exit_zero(self, capsys):
         rc = main(["spectral-check", "--space", "1d", "--h", "8", "--N", "16",
@@ -359,6 +378,7 @@ class TestCli:
     @pytest.mark.parametrize("method,flag,value", [
         ("uzawa", "--tol", "nan"), ("uzawa", "--omega", "inf"), ("uzawa", "--max-iter", "0"),
         ("minres", "--tol", "nan"), ("minres", "--tol", "0"), ("minres", "--max-iter", "0"),
+        ("uzawa", "--vcycles", "0"),
     ])
     def test_bad_solver_options_fail_before_setup(self, capsys, monkeypatch,
                                                   method, flag, value):
@@ -367,10 +387,12 @@ class TestCli:
 
         monkeypatch.setattr(pintsolve.cli, "build_schur_preconditioner", build)
         monkeypatch.setattr(pintsolve.cli, "BlockDiagSolver", build)
-        rc = main(["solve", "--space", "2d", "--h", "64", "--N", "256", "--solver", "mg",
-                   "--method", method, flag, value])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        monkeypatch.setattr(pintsolve.cli, "make_heat_problem", build)
+        for solver in ("mg", "direct", "jacobi"):
+            rc = main(["solve", "--space", "2d", "--h", "64", "--N", "256",
+                       "--solver", solver, "--method", method, flag, value])
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_divergence_exit_three(self, capsys):
         rc = main(["solve", "--h", "8", "--N", "8", "--omega", "40.0",

@@ -273,15 +273,17 @@ class TestSerialization:
             assert np.array_equal(a.todense(), b.todense())
         assert np.array_equal(back.a_ref.todense(), spec.a_ref.todense())
 
-    def test_listed_zero_entries_load_to_same_products(self, tmp_path):
+    @staticmethod
+    def check_listed_zero_entries(tmp_path, save, section):
         # a file that lists the ll-ur couplings of a 2d stiffness as zeros
         cells = 8
         grid = ps.build_time_grid("uniform", 4, 1.0)
         spec = ps.make_heat_problem("2d", cells, grid, data="random", seed=5)
         path = tmp_path / "p.txt"
-        ps.save_problem(spec, str(path))
+        save(spec, str(path))
         lines = path.read_text().splitlines()
-        head = next(i for i, line in enumerate(lines) if line.startswith("matrix A_ref"))
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith(f"matrix {section} "))
         _, name, dim, nnz = lines[head].split()
         n = cells - 1
         zeros = [f"{j * n + i} {(j + 1) * n + i + 1} 0.0"
@@ -296,6 +298,12 @@ class TestSerialization:
         for a, b in zip(back.stiffness, spec.stiffness):
             assert np.array_equal(a.dot(x), b.dot(x))
 
+    def test_listed_zero_entries_load_to_same_products(self, tmp_path):
+        self.check_listed_zero_entries(tmp_path, oracle.save_problem_v1, "A_ref")
+
+    def test_listed_zero_entries_load_to_same_products_v2(self, tmp_path):
+        self.check_listed_zero_entries(tmp_path, ps.save_problem, "B_1")
+
     def test_solutions_agree_after_round_trip(self, tmp_path):
         grid = ps.build_time_grid("uniform", 5, 1.0)
         spec = ps.make_heat_problem("1d", 8, grid, data="random", seed=3)
@@ -309,7 +317,7 @@ class TestSerialization:
     def test_round_trip_per_step_operators(self, tmp_path):
         spec = oracle.per_step_spec()
         path = tmp_path / "per_step.txt"
-        ps.save_problem(spec, str(path))
+        oracle.save_problem_v1(spec, str(path))
         text = path.read_text()
         assert "stepscales" not in text
         assert f"matrix A_{spec.N} " in text
@@ -317,6 +325,27 @@ class TestSerialization:
         for a, b in zip(back.stiffness, spec.stiffness):
             assert np.array_equal(a.todense(), b.todense())
         assert back.alpha == spec.alpha
+        assert np.array_equal(
+            ps.sequential_euler_solve(spec), ps.sequential_euler_solve(back)
+        )
+
+    def test_per_step_operators_keep_their_step_groups(self, tmp_path):
+        # three distinct operators, one step a scaled copy of another: each
+        # base is written once, and the file loads with the same three groups
+        spec = oracle.per_step_spec()
+        path = tmp_path / "per_step.txt"
+        ps.save_problem(spec, str(path))
+        text = path.read_text()
+        assert "matrix B_3 " in text and "matrix B_4 " not in text
+        back = ps.load_problem(str(path))
+        assert len(spec.step_groups) == len(back.step_groups) == 3
+        for (_, steps, scales), (_, back_steps, back_scales) in zip(
+                spec.step_groups, back.step_groups):
+            assert np.array_equal(back_steps, steps)
+            assert np.array_equal(back_scales, scales)
+        self.check_round_trip(spec, back)
+        for a, b in zip(back.stiffness, spec.stiffness):
+            oracle.assert_same_csr(a, b)
         assert np.array_equal(
             ps.sequential_euler_solve(spec), ps.sequential_euler_solve(back)
         )
@@ -339,8 +368,19 @@ class TestSerialization:
         ps.save_problem(spec, str(path))
         back = ps.load_problem(str(path))
         self.check_round_trip(spec, back)
-        # the file holds A_n as a multiple of A_ref, and s * (c * A) may
-        # differ from (s c) * A in the last bit
+        for a, b in zip(back.stiffness, spec.stiffness):
+            oracle.assert_same_csr(a, b)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(["1d", "2d"]))
+    def test_round_trip_property_v1(self, tmp_path_factory, seed, space):
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+        path = tmp_path_factory.mktemp("rt") / "problem.txt"
+        oracle.save_problem_v1(spec, str(path))
+        back = ps.load_problem(str(path))
+        self.check_round_trip(spec, back)
+        # a version-1 file holds A_n as a multiple of A_ref, and s * (c * A)
+        # may differ from (s c) * A in the last bit
         for a, b in zip(back.stiffness, spec.stiffness):
             assert np.allclose(a.todense(), b.todense(), rtol=1e-15, atol=0.0)
 
@@ -349,7 +389,7 @@ class TestSerialization:
     def test_round_trip_property_per_step(self, tmp_path_factory, seed):
         spec = oracle.per_step_spec(seed)
         path = tmp_path_factory.mktemp("rt") / "per_step.txt"
-        ps.save_problem(spec, str(path))
+        oracle.save_problem_v1(spec, str(path))
         assert f"matrix A_{spec.N} " in path.read_text()
         back = ps.load_problem(str(path))
         self.check_round_trip(spec, back)
@@ -361,6 +401,17 @@ class TestSerialization:
         (1, 3619, "5e6546d2f2b6dcc5b9a7aa805b7d72d46b9d8165dd8cacc50d30bcc6e9c9635f"),
     ])
     def test_per_step_file_bytes_are_pinned(self, tmp_path, seed, size, digest):
+        path = tmp_path / "per_step.txt"
+        oracle.save_problem_v1(oracle.per_step_spec(seed), str(path))
+        text = path.read_bytes()
+        assert len(text) == size
+        assert hashlib.sha256(text).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed,size,digest", [
+        (0, 2582, "d92ccdb438c68b4d5a6e769b8e9a9f541a9d2c0447b202731145dcff1dc9bf73"),
+        (1, 2589, "2be986e7d89f68ff95e1693972c57125fd5a442e450af536035e5c1f2089311e"),
+    ])
+    def test_per_step_file_bytes_are_pinned_v2(self, tmp_path, seed, size, digest):
         path = tmp_path / "per_step.txt"
         ps.save_problem(oracle.per_step_spec(seed), str(path))
         text = path.read_bytes()
@@ -374,11 +425,11 @@ class TestSerialization:
             ps.load_problem(str(path))
 
     @staticmethod
-    def saved_lines(tmp_path) -> list[str]:
+    def saved_lines(tmp_path, save=ps.save_problem) -> list[str]:
         grid = ps.build_time_grid("uniform", 3, 1.0)
         spec = ps.make_heat_problem("1d", 4, grid, data="random", seed=1)
         path = tmp_path / "good.txt"
-        ps.save_problem(spec, str(path))
+        save(spec, str(path))
         return path.read_text().splitlines()
 
     @pytest.mark.parametrize("keep", [1, 2, 4, 7, 20])
@@ -401,10 +452,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "section", ["grid", "scalars", "matrix", "stepscales", "vector"]
+        "section", ["grid", "scalars", "matrix", "stepscales", "vector", "operators"]
     )
     def test_rejects_non_finite_number(self, tmp_path, section, bad):
-        lines = self.saved_lines(tmp_path)
+        lines = self.saved_lines(
+            tmp_path, oracle.save_problem_v1 if section == "stepscales" else ps.save_problem)
         index = next(i for i, line in enumerate(lines) if line.split()[0] == section)
         if section != "scalars":
             index += 1  # the first value line of the section

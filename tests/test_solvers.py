@@ -761,6 +761,29 @@ class TestEigenbasisPath:
         assert h1.residual == h2.residual
         assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
 
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_duck_typed_preconditioner_stays_nodal(self, monkeypatch, diagnostics):
+        # an Htilde with apply_inverse only (no clocks, no solver_kind, no
+        # eigenbasis) runs the loop on nodal values, as the real one does
+        # when no eigenbasis set is offered, and records no D-norm error
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="sine")
+        system, at, ht = setup(spec)
+
+        class Plain:
+            def apply_inverse(self, r):
+                return ht.apply_inverse(r)
+
+        cfg = ps.UzawaConfig(tol=1e-10, diagnostics=diagnostics)
+        (p1, u1), h1 = ps.uzawa_solve(system, at, Plain(), cfg)
+        monkeypatch.setattr(ps.solvers, "_modal_set", lambda *args: None)
+        (p2, u2), h2 = ps.uzawa_solve(system, at, ht, cfg)
+        assert h1.converged and h1.residual == h2.residual
+        assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
+        assert h1.s_norm_error == h2.s_norm_error
+        assert h1.d_norm_error == [None] * h1.iterations
+        assert h1.fft_seconds == [0.0] * h1.iterations
+
 
 class TestSchurComplementForm:
     """An exact block solve runs Uzawa in Schur complement form, in either
@@ -1135,8 +1158,6 @@ class TestMinresEigenbasisPath:
         system, at, ht = setup(spec)
 
         class Plain:
-            fft_seconds = spatial_seconds = 0.0
-
             def apply_inverse(self, r):
                 return ht.apply_inverse(r)
 
