@@ -34,6 +34,17 @@ def _dst(u: np.ndarray, kind: int, scale: float = 1.0,
     return out.T
 
 
+def copy_back(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """result, or out holding it: result is copied there unless it already
+    lies in out's memory (a transform asked to overwrite out runs there,
+    unless scipy takes a buffer of its own)."""
+    if out is None:
+        return result
+    if not np.may_share_memory(result, out):
+        np.copyto(out, result)
+    return out
+
+
 class DstPlan:
     """Reusable transform plan for a fixed number of time blocks."""
 
@@ -86,11 +97,21 @@ class DstPlan:
         out[-1] *= 0.5
         return out
 
-    def inverse_transpose(self, u: np.ndarray, scale: float = 0.5) -> np.ndarray:
-        """Apply the transpose of ``inverse``; scale as there."""
-        w = self._check(u).copy(order="F")
+    def inverse_transpose(self, u: np.ndarray, scale: float = 0.5,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the transpose of ``inverse``; scale as there.
+
+        The transform runs in a copy of u: out when given (an array of u's
+        shape that does not overlap u, returned), else a new Fortran-order
+        block."""
+        u = self._check(u)
+        if out is None:
+            w = u.copy(order="F")
+        else:
+            w = out
+            np.copyto(w, u)
         w[-1] *= 2.0
-        return _dst(w, 3, scale, overwrite=True)
+        return copy_back(_dst(w, 3, scale, overwrite=True), out)
 
     # dense matrix representations, used by test oracles only
     def forward_matrix(self) -> np.ndarray:

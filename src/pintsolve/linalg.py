@@ -351,7 +351,8 @@ class BlockBasis:
     ``synthesis`` apply V' and V along axis -2 of an array of two or more
     dimensions, as matmul would: the fold (one sparse product) and one GEMM
     per block on its whole rows, so that no result depends on the thread
-    count.  Immutable.
+    count.  ``norm`` takes ||V c||_2 from the GEMMs alone, and ``fold``
+    finishes the synthesis from them.  Immutable.
     """
 
     __slots__ = ("lam", "vectors", "bounds", "_q", "_qt")
@@ -364,11 +365,13 @@ class BlockBasis:
         self._q = None if fold is None else fold.q
         self._qt = None if fold is None else fold.qt
 
-    def _blockwise(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+    def _blockwise(self, x: np.ndarray, transpose: bool,
+                   out: np.ndarray | None = None) -> np.ndarray:
         if len(self.vectors) == 1:
             v = self.vectors[0]
-            return (v.T if transpose else v) @ x
-        out = np.empty(x.shape)
+            return np.matmul(v.T if transpose else v, x, out=out)
+        if out is None:
+            out = np.empty(x.shape)
         for v, lo, hi in zip(self.vectors, self.bounds[:-1], self.bounds[1:]):
             np.matmul(v.T if transpose else v, x[..., lo:hi, :], out=out[..., lo:hi, :])
         return out
@@ -381,8 +384,19 @@ class BlockBasis:
 
     def synthesis(self, c: np.ndarray) -> np.ndarray:
         """V c: the vector with coefficients c."""
-        x = self._blockwise(c, transpose=False)
+        return self.fold(self._blockwise(c, transpose=False))
+
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """Q x, the vector whose class components are x (x itself without a
+        fold): ``fold(work)`` after ``norm(c, work)`` is ``synthesis(c)``."""
         return x if self._q is None else _sparse_matmul(self._q, x)
+
+    def norm(self, c: np.ndarray, work: np.ndarray) -> float:
+        """||V c||_2 = sqrt(sum_b ||V_b c_b||^2) over all of c: the fold is
+        orthogonal, so it is skipped.  The class products V_b c_b go into
+        work, a C-order array of c's shape that does not overlap c."""
+        self._blockwise(c, transpose=False, out=work)
+        return float(np.sqrt(np.vdot(work, work)))
 
     def dense(self) -> np.ndarray:
         """V as one (dim, dim) array, columns in the order of ``lam``."""

@@ -32,16 +32,42 @@ def fold_rhs(spec: ProblemSpec) -> np.ndarray:
     return rhs
 
 
+def _along_time(op, x: np.ndarray, y: np.ndarray, out: np.ndarray,
+                shift: int) -> None:
+    """out_n = op(x_n, y_(n - shift)) for every step n with a neighbour
+    n - shift (shift 1 or -1), in one pass; the one other row of out keeps
+    its value.
+
+    On Fortran-order blocks the pass runs over the flat buffers, where row
+    n - shift of a column lies next to row n: one unit-stride pass in place
+    of one strided pass per column.  It then also writes the edge row, from
+    a neighbour in the next column, so that row is saved before and written
+    back after.  Other blocks take the strided pass.
+    """
+    edge = 0 if shift == 1 else -1
+    flat = x.flags.f_contiguous and y.flags.f_contiguous and out.flags.f_contiguous
+    a, b, c = x, y, out
+    if flat:
+        kept = out[edge].copy()
+        a, b, c = (v.reshape(-1, order="F") for v in (x, y, out))
+    if shift == 1:
+        op(a[1:], b[:-1], out=c[1:])
+    else:
+        op(a[:-1], b[1:], out=c[:-1])
+    if flat:
+        out[edge] = kept
+
+
 def time_difference(mx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """K x from the block M x: (M x)_n - (M x)_{n-1}, with (M x)_0 = 0.
 
     Written to out when given (not mx itself), else to a new Fortran-order
-    block; one pass either way.
+    block; one pass either way, unit-stride on Fortran-order blocks.
     """
     if out is None:
         out = np.empty(mx.shape, order="F")
+    _along_time(np.subtract, mx, mx, out, 1)
     out[0] = mx[0]
-    np.subtract(mx[1:], mx[:-1], out=out[1:])
     return out
 
 
@@ -49,37 +75,38 @@ def time_difference_t(mx: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     """K' x from the block M x: (M x)_n - (M x)_{n+1}, with (M x)_{N+1} = 0.
 
     Written to out when given (not mx itself), else to a new Fortran-order
-    block; one pass either way.
+    block; one pass either way, unit-stride on Fortran-order blocks.
     """
     if out is None:
         out = np.empty(mx.shape, order="F")
+    _along_time(np.subtract, mx, mx, out, -1)
     out[-1] = mx[-1]
-    np.subtract(mx[:-1], mx[1:], out=out[:-1])
     return out
 
 
-def weighted_saddle_product(w: np.ndarray, p: np.ndarray, u: np.ndarray,
-                            top: np.ndarray, bottom: np.ndarray) -> None:
+def weighted_saddle_product(w: np.ndarray, d: np.ndarray, p: np.ndarray,
+                            u: np.ndarray, top: np.ndarray,
+                            bottom: np.ndarray) -> None:
     """``TimeGlobalSystem.apply_saddle`` with the identity mass and
     A_bd x = w * x (the operators in an eigenbasis), written into top and
-    bottom, which overlap neither p nor u, in ten in-place passes and no
-    temporary block.
+    bottom, which overlap neither p nor u, in eight in-place passes and no
+    temporary block.  d is the table -(2 + w), the diagonal of the lower
+    right block, built once by the caller.
 
     top = w p - K u, and since K u + K' u = 2 u_n - u_{n-1} - u_{n+1}
-    (u_0 = u_{N+1} = 0), bottom = -(K' p + (2 + w) u - u_{n-1} - u_{n+1}).
-    The sums are grouped differently from ``apply_saddle``'s, so the two
-    agree to rounding.
+    (u_0 = u_{N+1} = 0), bottom = d u + u_{n-1} + u_{n+1} - p + p_{n+1}.
+    The four passes along time are unit-stride on Fortran-order blocks (see
+    ``_along_time``).  The sums are grouped differently from
+    ``apply_saddle``'s, so the two agree to rounding.
     """
     np.multiply(w, p, out=top)
     np.subtract(top, u, out=top)
-    np.add(top[1:], u[:-1], out=top[1:])
-    np.add(w, 2.0, out=bottom)
-    np.multiply(bottom, u, out=bottom)
-    np.subtract(bottom[1:], u[:-1], out=bottom[1:])
-    np.subtract(bottom[:-1], u[1:], out=bottom[:-1])
-    np.add(bottom, p, out=bottom)
-    np.subtract(bottom[:-1], p[1:], out=bottom[:-1])
-    np.negative(bottom, out=bottom)
+    _along_time(np.add, top, u, top, 1)
+    np.multiply(d, u, out=bottom)
+    _along_time(np.add, bottom, u, bottom, 1)
+    _along_time(np.add, bottom, u, bottom, -1)
+    np.subtract(bottom, p, out=bottom)
+    _along_time(np.add, bottom, p, bottom, -1)
 
 
 class BlockDiagSolver:
@@ -103,6 +130,8 @@ class BlockDiagSolver:
              steps, spec.grid.steps[steps] * scales)
             for base, steps, scales in spec.step_groups
         ]
+        self._dim = spec.dim
+        self._work = parallel.WorkBlocks()
         self.spatial_seconds = 0.0
         self.setup_seconds = time.perf_counter() - start
 
@@ -114,7 +143,9 @@ class BlockDiagSolver:
     def apply_inverse(self, b: np.ndarray, weights: np.ndarray | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
         """Solve every step, in column blocks of at most the solver's
-        ``block_columns`` steps, spread over the threads.
+        ``block_columns`` steps, spread over the threads: each into this
+        thread's contiguous work block, then divided by tau_n s_n on the way
+        into its columns of the result.
 
         With ``weights``, b is a Fortran-order block held in a spatial basis
         in which A_bd multiplies by these weights, one column per spatial
@@ -148,17 +179,23 @@ class BlockDiagSolver:
         ]
 
         def task(i: int) -> None:
+            # solve into this thread's contiguous block, then divide on the
+            # way into out's columns, in one pass
             solver, steps, divisor = tasks[i]
-            if isinstance(steps, slice):  # solve and divide in out's columns
-                np.divide(solver.apply(bt[:, steps], out=out.T[:, steps]), divisor,
-                          out=out.T[:, steps])
+            t = self._work.get(len(divisor), self._new_work)
+            solver.apply(bt[:, steps], out=t)
+            if isinstance(steps, slice):
+                np.divide(t, divisor, out=out.T[:, steps])
             else:
-                out.T[:, steps] = solver.apply(bt[:, steps]) / divisor
+                out.T[:, steps] = np.divide(t, divisor, out=t)
 
         start = time.perf_counter()
         parallel.block_map(task, len(tasks))
         parallel.add_seconds(self, "spatial_seconds", time.perf_counter() - start)
         return out
+
+    def _new_work(self, m: int) -> np.ndarray:
+        return np.empty((self._dim, m))
 
 
 class TimeGlobalSystem:

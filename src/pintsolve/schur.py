@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .dst import DstPlan
+from .dst import DstPlan, copy_back
 from .errors import DimensionMismatchError, InputError, NotSpdError
 from .linalg import (
     BlockBasis,
@@ -112,6 +112,10 @@ class SchurPreconditioner:
         **solver_opts,
     ):
         start = time.perf_counter()
+        # a positive diagonal is necessary for SPD, and costs O(dim); the
+        # direct kind's eigenbasis checks the rest (see _diagonalize)
+        if not np.all(spec.a_ref.diagonal() > 0.0):
+            raise NotSpdError("A_ref is not SPD: a diagonal entry is not positive")
         self.N = spec.N
         self.dim = spec.dim
         self.tau_ref = spec.tau_ref
@@ -166,10 +170,12 @@ class SchurPreconditioner:
 
     def _diagonalize(self) -> tuple[BlockBasis, np.ndarray]:
         basis = eigh_blocks(self._tau_a.tocsr(), self.mass.tocsr(), name="mass matrix")
+        # with M SPD, tau A_ref is SPD exactly when every eigenvalue is > 0
+        if not np.all(basis.lam > 0.0):
+            raise NotSpdError("A_ref is not SPD: the pencil (tau A_ref, M) has an "
+                              "eigenvalue that is not positive")
         # (dim, N), the transpose of the Fortran-order (N, dim) D
         d = basis.lam[:, None] + self.mu
-        if np.any(d <= 0.0):
-            raise NotSpdError("frequency-mode blend is not SPD")
         # tau / (2 N) times lam / (tau (mu_k + lam)^2); tau cancels
         np.divide((0.5 / self.N) * basis.lam[:, None], np.square(d, out=d), out=d)
         return basis, d.T
@@ -208,8 +214,15 @@ class SchurPreconditioner:
             )
         return r
 
-    def apply_inverse(self, r: np.ndarray, slab: slice | None = None) -> np.ndarray:
+    def apply_inverse(self, r: np.ndarray, slab: slice | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """Approximate Schur-complement inverse: one preconditioner action.
+
+        The result is written to out when given (an array of r's shape that
+        does not overlap r, returned), else to a new Fortran-order block.
+        The first DST copies r into that block and runs there; with
+        ``slab``, so do the mode stage and the second DST, and an
+        application allocates no block and copies none.
 
         With ``slab`` (direct kind with an eigenbasis only), r holds the
         columns ``slab`` of the coefficients r V of a residual, one column
@@ -238,12 +251,12 @@ class SchurPreconditioner:
                 return np.multiply(rhat, d, out=rhat)
 
         t0 = time.perf_counter()
-        rhat = self.plan.inverse_transpose(r, scale=1.0)
+        rhat = self.plan.inverse_transpose(r, scale=1.0, out=out)
         t1 = time.perf_counter()
-        out = stage(rhat)
+        staged = stage(rhat)
         t2 = time.perf_counter()
-        # the stage's output is this call's own block
-        u = self.plan.inverse(out, scale=1.0, overwrite=True)
+        # the stage's output is this call's own block, or out
+        u = copy_back(self.plan.inverse(staged, scale=1.0, overwrite=True), out)
         parallel.add_seconds(self, "fft_seconds", (t1 - t0) + (time.perf_counter() - t2))
         parallel.add_seconds(self, "spatial_seconds", t2 - t1)
         return u
@@ -253,9 +266,10 @@ class SchurPreconditioner:
         stage between the two unscaled DSTs of ``apply_inverse``.
 
         The inexact kinds run the whole solve, A_ref product, solve stage on
-        column blocks of at most ``batched.block_columns`` modes: the first
-        solve and the A_ref product go to this thread's two work blocks of
-        the column block's width, the second solve straight to the output.
+        column blocks of at most ``batched.block_columns`` modes, in this
+        thread's two contiguous work blocks of the column block's width: the
+        first solve to t, the A_ref product to y, the second solve to t
+        again, which is then scaled on the way into the output in one pass.
         """
         if self._basis is not None:
             # each basis map on the whole block; chunking the columns would
@@ -285,9 +299,7 @@ class SchurPreconditioner:
             s = self.batched.columns(cols)
             t, y = self._work.get(cols.stop - cols.start, self._new_work)
             csr_matmul_into(a_ref, s.apply(rhat[:, cols], out=t), y)
-            block = out[:, cols]
-            s.apply(y, out=block)
-            block *= scale
+            np.multiply(s.apply(y, out=t), scale, out=out[:, cols])
 
         parallel.chunk_map(columns, self.N, self.batched.block_columns)
         return out.T

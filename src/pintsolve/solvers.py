@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas
 
+from .dst import copy_back
 from .errors import InputError, NotSpdError, SolverDivergenceError
-from .linalg import SpatialMatrix, SpdFactor, add_matrices
+from .linalg import BlockBasis, SpatialMatrix, SpdFactor, add_matrices
 from .operators import (
     BlockDiagSolver,
     TimeGlobalSystem,
@@ -201,9 +202,11 @@ class _OperatorSet:
     two-stage Uzawa body and Schur complement form run on any set; the
     eigenbasis set needs an exact block solve, so it only meets the second.
 
-    atilde also takes out=, a block to write its result into.  weights
-    holds the (N, dim) weights w of A_bd in the eigenbasis set (A_bd x =
-    w * x), None on nodal values.  abd_modes holds the (dim,) weights lam_j
+    atilde and htilde also take out=, a block to write their result into;
+    the eigenbasis htilde runs in it, the nodal one copies its result there.
+    weights holds the (N, dim) weights w of A_bd in the eigenbasis set
+    (A_bd x = w * x), None on nodal values, and basis the eigenbasis (a
+    ``linalg.BlockBasis``).  abd_modes holds the (dim,) weights lam_j
     when A_bd is lam_j times the identity in time on every spatial mode j:
     the eigenbasis set of a problem whose tau_n A_n is one matrix at every
     step.  Then the third Uzawa body runs the Schur complement form in the
@@ -218,6 +221,7 @@ class _OperatorSet:
     dual_to_basis: Callable[[np.ndarray], np.ndarray] = _identity
     slabs: tuple[slice, ...] = (_ALL,)
     weights: np.ndarray | None = None
+    basis: BlockBasis | None = None
     abd_modes: np.ndarray | None = None
 
 
@@ -228,7 +232,7 @@ def _nodal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
         mass=lambda x, cols=_ALL: system.apply_M(x),
         abd=lambda x, cols=_ALL: system.apply_Abd(x),
         atilde=lambda r, cols=_ALL, out=None: atilde.apply_inverse(r, out=out),
-        htilde=lambda r, cols=_ALL: htilde.apply_inverse(r),
+        htilde=lambda r, cols=_ALL, out=None: copy_back(htilde.apply_inverse(r), out),
     )
 
 
@@ -270,13 +274,14 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
         abd=lambda x, cols=_ALL: w[:, cols] * x,
         atilde=lambda r, cols=_ALL, out=None: atilde.apply_inverse(
             r, weights=w[:, cols], out=out),
-        htilde=lambda r, cols=_ALL: htilde.apply_inverse(r, slab=cols),
+        htilde=lambda r, cols=_ALL, out=None: htilde.apply_inverse(r, slab=cols, out=out),
         to_basis=lambda x: basis.analysis(spec.mass.dot(x.T)).T,
         from_basis=lambda x: basis.synthesis(x.T).T,
         dual_to_basis=lambda x: basis.analysis(x.T).T,
         slabs=tuple(slice(lo, min(lo + width, spec.dim))
                     for lo in range(0, spec.dim, width)),
         weights=w,
+        basis=basis,
         abd_modes=w[0] if np.all(tau_s == tau_s[0]) else None,
     )
 
@@ -425,15 +430,18 @@ def uzawa_solve(
         f - K' p' - (K u + K' u + A_bd u) = -(A_bd + K')(p' + u): one A_bd
         product per iteration instead of two.  z holds its negative
         S u - b_S, so y is the negative of Htilde^-1 applied to the
-        residual, and u -= omega y; both sums are the same."""
+        residual, and u -= omega y; both sums are the same.  Both inverses
+        write into the slab's own blocks, Htilde^-1 in the eigenbasis only
+        (the nodal one would copy its result there)."""
         cols = slabs[k]
         pk, uk, fk = p[:, cols], u[:, cols], f[:, cols]
-        t, z = (np.empty(fk.shape, order="F") for _ in range(2))
+        t, z, p_work = (np.empty(fk.shape, order="F") for _ in range(3))
+        y_work = None if ops.weights is None else np.empty(fk.shape, order="F")
         t_old = ops.abd(pk, cols)
         while True:
             time_difference(ops.mass(uk, cols), out=t)
             t -= fk
-            p_new = ops.atilde(t, cols)
+            p_new = ops.atilde(t, cols, out=p_work)
             # (t - t_old) . (p' - p), then p = p' and t_old = t
             np.subtract(t, t_old, out=t_old)
             np.subtract(p_new, pk, out=pk)
@@ -445,7 +453,7 @@ def uzawa_solve(
             s = np.add(p_new, uk, out=p_new)
             time_difference_t(ops.mass(s, cols), out=z)
             z += ops.abd(s, cols)
-            y = ops.htilde(z, cols)
+            y = ops.htilde(z, cols, out=y_work)
             sums[1, cols] = np.sum(np.multiply(z, y, out=z), axis=sum_axis)
             uk -= np.multiply(y, cfg.omega, out=y)
             yield
@@ -620,9 +628,10 @@ def minres_solve(
 
     When both block solves are exact in the eigenbasis of htilde (see
     ``_modal_set``), the recurrence runs on the basis coefficients, and p and
-    u are mapped back once at the end: by the exact norm's map when the last
-    stop was decided on it, else by one more product each.  The saddle
-    product there is ``weighted_saddle_product`` into the work block, and P
+    u are mapped back once at the end, together: by folding the class
+    products of the exact norm when the last stop was decided on it, else by
+    one more map.  The saddle product there is ``weighted_saddle_product``
+    into the work block, Htilde^-1 runs in its work block, and P
     is diag(1/w) and, per spatial mode j, 4 S diag(D[:, j]) S' with S the
     DST synthesis map and D ``htilde.mode_weights()``: it is SPD exactly when
     every entry of w and D is finite and > 0, which replaces the probes.
@@ -632,7 +641,9 @@ def minres_solve(
     therefore tests first with the bound ||x_hat||_2 / sqrt(sigma) >=
     ||x||_2, sigma a certified floor of M's spectrum (see ``_mass_floor``),
     and only when some test would stop with it takes the exact
-    ||x_hat V'||_2 and decides on that.  No test can stop for the bound and
+    ||x_hat V'||_2 and decides on that: ``BlockBasis.norm``, one dense
+    product per symmetry class into a spare work block and no fold, which
+    is orthogonal.  No test can stop for the bound and
     not for the exact norm, so the stops are scipy's.  Without a floor the
     exact norm is taken at every iteration.  Otherwise the recurrence runs
     on nodal values, and each saddle product is one ``system.apply_saddle``.
@@ -652,12 +663,17 @@ def minres_solve(
 
     def precond(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         ops.atilde(r[0].T, out=out[0].T)
-        out[1] = ops.htilde(r[1].T).T
+        ops.htilde(r[1].T, out=out[1].T)
         return out
 
     if modal:
+        # the diagonal -(2 + w) of the saddle product, once per solve
+        saddle_diagonal = ops.weights + 2.0
+        np.negative(saddle_diagonal, out=saddle_diagonal)
+
         def matvec(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-            weighted_saddle_product(ops.weights, v[0].T, v[1].T, out[0].T, out[1].T)
+            weighted_saddle_product(ops.weights, saddle_diagonal,
+                                    v[0].T, v[1].T, out[0].T, out[1].T)
             return out
 
         # P = diag(1/w) (+) 4 S diag(D) S': SPD exactly when w and D are > 0
@@ -737,8 +753,12 @@ def minres_solve(
     # w1, w2 = w_{k-2}, w_{k-1} of the search directions, w_{-1} = w_0 = 0
     w1, w2 = np.zeros(shape), np.zeros(shape)
     r1 = r2 = g
+    # the work block holding the class products of the last exact norm
+    products = None
     for itn in range(1, max_iter + 1):
-        nodal = None  # x on nodal values, once the exact norm takes it
+        if products is not None:
+            spare.append(products)
+            products = None
         v = y
         v *= 1.0 / beta
         y = matvec(v, block())
@@ -784,9 +804,13 @@ def minres_solve(
             if bound_scale:
                 istop = stop(itn, np.linalg.norm(x) * bound_scale)
             if istop or not bound_scale:
-                # x.T stacks the blocks p and u: this is ||x||_2 on nodal values
-                nodal = ops.from_basis(x.T)
-                istop = stop(itn, np.linalg.norm(nodal))
+                # ||x||_2 on nodal values
+                if modal:
+                    products = block()
+                    ynorm = ops.basis.norm(x, products)
+                else:
+                    ynorm = np.linalg.norm(x)
+                istop = stop(itn, ynorm)
 
         fft, spatial = _clocks(atilde, htilde)
         hist.append(float(phibar / beta1), None, None, time.perf_counter() - t0,
@@ -794,6 +818,10 @@ def minres_solve(
         if istop != 0:
             break
     hist.converged = istop != 6
-    if nodal is not None:
-        return (nodal[..., 0], nodal[..., 1]), hist
-    return (ops.from_basis(x[0].T), ops.from_basis(x[1].T)), hist
+    # p and u in one map: from the products of the last exact norm when it
+    # decided the stop
+    if products is not None:
+        nodal = ops.basis.fold(products)
+    else:
+        nodal = ops.from_basis(x.T).T
+    return (nodal[0].T, nodal[1].T), hist

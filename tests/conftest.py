@@ -300,3 +300,35 @@ def renumbered_spec(spec, seed=0):
         a_ref=renumbered(spec.a_ref),
         alpha=spec.alpha,
     )
+
+
+def strided_time_difference(mx, out):
+    """``operators.time_difference`` as one strided pass over the row
+    slices of the block (the form before the flat pass; test oracle)."""
+    out[0] = mx[0]
+    np.subtract(mx[1:], mx[:-1], out=out[1:])
+    return out
+
+
+def strided_time_difference_t(mx, out):
+    """``operators.time_difference_t`` as one strided pass over the row
+    slices of the block (test oracle)."""
+    out[-1] = mx[-1]
+    np.subtract(mx[:-1], mx[1:], out=out[:-1])
+    return out
+
+
+def strided_weighted_saddle_product(w, p, u, top, bottom):
+    """``operators.weighted_saddle_product`` in its ten in-place passes
+    over row slices, with 2 + w formed in bottom and a closing negation
+    (the form before the flat passes; test oracle)."""
+    np.multiply(w, p, out=top)
+    np.subtract(top, u, out=top)
+    np.add(top[1:], u[:-1], out=top[1:])
+    np.add(w, 2.0, out=bottom)
+    np.multiply(bottom, u, out=bottom)
+    np.subtract(bottom[1:], u[:-1], out=bottom[1:])
+    np.subtract(bottom[:-1], u[1:], out=bottom[:-1])
+    np.add(bottom, p, out=bottom)
+    np.subtract(bottom[:-1], p[1:], out=bottom[:-1])
+    np.negative(bottom, out=bottom)

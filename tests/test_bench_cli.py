@@ -355,6 +355,24 @@ class TestCli:
         assert rc == 1
         assert operator in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", [["minres"], ["uzawa", "--omega", "0.2"]],
+                             ids=["minres", "uzawa"])
+    def test_zero_reference_matrix_exit_one(self, tmp_path, capsys, method):
+        # a version-1 file whose matrix A_ref holds zeros only, with one
+        # matrix per step, so that the block solves still factorize
+        path = tmp_path / "prob.txt"
+        oracle.save_problem_v1(oracle.per_step_spec(), str(path))
+        lines = path.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("matrix A_ref "))
+        for i in range(start + 1, start + 1 + int(lines[start].split()[-1])):
+            row, col, _ = lines[i].split()
+            lines[i] = f"{row} {col} 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--problem-file", str(path), "--solver", "direct",
+                   "--method", *method])
+        assert rc == 1
+        assert "A_ref is not SPD" in capsys.readouterr().err
+
     def test_spectral_check_exit_zero(self, capsys):
         rc = main(["spectral-check", "--space", "1d", "--h", "8", "--N", "16",
                    "--solver", "direct"])

@@ -424,6 +424,36 @@ class TestEighPencil:
         assert eigh_sizes == oracle.class_sizes("2d", 6)[: cls + 1]
 
 
+class TestBlockBasisNorm:
+    """BlockBasis.norm takes ||V c||_2 from the class products alone, and
+    folding the products it leaves gives synthesis(c) bit for bit."""
+
+    @staticmethod
+    def bases():
+        rng = np.random.default_rng(9)
+        specs = {"split-1d": oracle.random_spec(rng, "1d"),
+                 "split-2d": oracle.random_spec(rng, "2d")}
+        specs["unsplit"] = oracle.renumbered_spec(specs["split-2d"])
+        return {name: eigh_blocks(spec.a_ref.tocsr(), spec.mass.tocsr())
+                for name, spec in specs.items()}
+
+    @pytest.mark.parametrize("case", ["split-1d", "split-2d", "unsplit"])
+    def test_matches_norm_of_synthesis(self, case):
+        basis = self.bases()[case]
+        assert (len(basis.vectors) == 1) == (case == "unsplit")
+        dim = basis.lam.size
+        rng = np.random.default_rng(dim)
+        for shape in [(dim, 6), (2, dim, 5)]:
+            c = rng.standard_normal(shape)
+            before = c.copy()
+            work = np.full(shape, np.nan)
+            want = basis.synthesis(c)
+            got = basis.norm(c, work)
+            assert got == pytest.approx(np.linalg.norm(want), rel=1e-13, abs=0.0)
+            assert np.array_equal(basis.fold(work), want)
+            assert np.array_equal(c, before)
+
+
 class TestLanczos:
     def test_matches_dense_on_random_pencil(self):
         rng = np.random.default_rng(9)

@@ -179,3 +179,68 @@ class TestDNorm:
         got = ps.d_norm(u, ht.apply)
         ref = np.sqrt(np.sum(u * ht.apply(u)))
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+def in_layout(a, layout):
+    """A copy of the (N, dim) block a: Fortran or C order, a column slab of
+    a wider Fortran-order block (Fortran-contiguous, not at offset 0), or
+    every other column of one (contiguous in neither order)."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    n, dim = a.shape
+    wide = np.full((n, 2 * dim + 3), np.nan, order="F")
+    view = wide[:, 2:2 + dim] if layout == "slab" else wide[:, 1::2][:, :dim]
+    view[...] = a
+    return view
+
+
+LAYOUTS = ["F", "C", "slab", "every-other"]
+
+
+class TestTimeShifts:
+    """The time differences and the eigenbasis saddle product run each
+    shift along time as one pass over the flat buffer of a Fortran-order
+    block; every layout gives the strided oracles' values bit for bit."""
+
+    DIM = 7
+
+    @staticmethod
+    def blocks(N, count, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((N, TestTimeShifts.DIM)) for _ in range(count)]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("N", [1, 2, 3, 200])
+    def test_time_differences_match_strided(self, N, layout):
+        (mx,) = self.blocks(N, 1, N)
+        x = in_layout(mx, layout)
+        before = x.copy()
+        for flat, strided in [(ps.operators.time_difference, oracle.strided_time_difference),
+                              (ps.operators.time_difference_t,
+                               oracle.strided_time_difference_t)]:
+            want = strided(mx, np.empty_like(mx))
+            out = in_layout(np.full_like(mx, np.nan), layout)
+            assert flat(x, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(flat(x), want)
+            assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("layout", LAYOUTS + ["mixed"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 200])
+    def test_saddle_product_matches_strided(self, N, layout):
+        p, u, w = self.blocks(N, 3, N)
+        w = np.abs(w) + 0.1
+        top, bottom = np.empty_like(p), np.empty_like(p)
+        oracle.strided_weighted_saddle_product(w, p, u, top, bottom)
+        # "mixed": Fortran-order operands and C-order outputs
+        inputs = "F" if layout == "mixed" else layout
+        outputs = "C" if layout == "mixed" else layout
+        d = in_layout(-(w + 2.0), inputs)
+        args = [in_layout(a, inputs) for a in (w, p, u)]
+        kept = [a.copy() for a in args]
+        out = [in_layout(np.full_like(p, np.nan), outputs) for _ in range(2)]
+        ps.operators.weighted_saddle_product(args[0], d, args[1], args[2], *out)
+        assert np.array_equal(out[0], top) and np.array_equal(out[1], bottom)
+        assert all(np.array_equal(a, b) for a, b in zip(args, kept))

@@ -1,11 +1,13 @@
+import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import pintsolve as ps
-from pintsolve.errors import InputError
+from pintsolve.errors import InputError, NotSpdError
 from pintsolve.operators import dense_operator
 
 import conftest as oracle
@@ -297,6 +299,93 @@ class TestUnscaledTransforms:
         for _ in range(2):
             assert np.array_equal(ht.apply_inverse(r), want)
             assert np.array_equal(r, before)
+
+
+class TestOutBlock:
+    """apply_inverse(out=) writes the result into out: the same values as
+    the returned block, bit for bit, with r left as it was.  With a slab of
+    the eigenbasis both DSTs and the mode stage run in out, so that a
+    steady-state application allocates no block."""
+
+    @staticmethod
+    def spec(N=24):
+        grid = ps.build_time_grid("perturbed", N, 1.0, perturbation=0.3, seed=2)
+        return ps.make_heat_problem("2d", 16, grid, data="zero", coeff=lambda t: 1.0 + t)
+
+    @pytest.mark.parametrize("kind,eig_limit,slab", [
+        ("direct", ps.schur.EIG_DIM_LIMIT, slice(None)),
+        ("direct", ps.schur.EIG_DIM_LIMIT, slice(3, 40)),
+        ("direct", ps.schur.EIG_DIM_LIMIT, None), ("direct", 0, None),
+        ("mg", None, None), ("jacobi", None, None),
+    ], ids=["eigenbasis-slab", "eigenbasis-part", "eigenbasis", "per-mode-lu", "mg",
+            "jacobi"])
+    def test_out_matches_returned_block(self, kind, eig_limit, slab, monkeypatch):
+        if eig_limit is not None:
+            monkeypatch.setattr(ps.schur, "EIG_DIM_LIMIT", eig_limit)
+        spec = self.spec()
+        ht = ps.build_schur_preconditioner(spec, kind)
+        cols = slice(None) if slab is None else slab
+        r = np.asfortranarray(
+            np.random.default_rng(1).standard_normal((spec.N, spec.dim))[:, cols])
+        before = r.copy()
+        want = ht.apply_inverse(r, slab=slab)
+        for _ in range(2):
+            out = np.full(r.shape, np.nan, order="F")
+            assert ht.apply_inverse(r, slab=slab, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(r, before)
+
+    def test_eigenbasis_slab_allocates_no_block(self):
+        spec = self.spec(N=128)
+        ht = ps.build_schur_preconditioner(spec, "direct")
+        r = np.asfortranarray(np.random.default_rng(2).standard_normal((spec.N, spec.dim)))
+        out = np.empty_like(r)
+        assert r.nbytes > 200 * 1024
+        ht.apply_inverse(r, slab=slice(None), out=out)  # warm-up
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                ht.apply_inverse(r, slab=slice(None), out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestReferenceOperatorIsSpd:
+    """Every kind checks that A_ref has a positive diagonal, and the direct
+    kind's eigenbasis that every eigenvalue of (tau A_ref, M) is positive."""
+
+    @staticmethod
+    def spec(a_ref):
+        grid = ps.build_time_grid("uniform", 8, 1.0)
+        spec = ps.make_heat_problem("1d", 8, grid, data="zero")
+        return dataclasses.replace(spec, a_ref=a_ref)
+
+    @staticmethod
+    def diagonal(entries):
+        """The diagonal matrix with these entries, dim 7 (1d, h = 1/8)."""
+        return ps.SpatialMatrix(7, np.arange(7), np.arange(7), entries)
+
+    @pytest.mark.parametrize("kind", ["direct", "mg", "jacobi"])
+    @pytest.mark.parametrize("entries", [np.zeros(7), [1, 1, 1, 0, 1, 1, 1],
+                                         [1, 1, 1, -1, 1, 1, 1],
+                                         [1, 1, 1, np.nan, 1, 1, 1]],
+                             ids=["zero", "zero-entry", "negative-entry", "nan-entry"])
+    def test_non_positive_diagonal_raises(self, kind, entries):
+        opts = {"hierarchy": ps.build_mg_hierarchy("1d", 8)} if kind == "mg" else {}
+        ps.SchurPreconditioner(self.spec(self.diagonal(np.ones(7))), kind, **opts)
+        with pytest.raises(NotSpdError, match="A_ref"):
+            ps.SchurPreconditioner(self.spec(self.diagonal(entries)), kind, **opts)
+
+    def test_indefinite_pencil_raises(self):
+        # K - 20 M: a positive diagonal (2/h - 20 * 4h/6 > 0 at h = 1/8),
+        # but lambda_min(K, M) is about pi^2 < 20
+        mass, stiff = ps.assemble_mass_stiffness_1d(8)
+        a_ref = ps.add_matrices(1.0, stiff, -20.0, mass)
+        assert np.all(a_ref.diagonal() > 0.0)
+        with pytest.raises(NotSpdError, match="A_ref"):
+            ps.SchurPreconditioner(self.spec(a_ref), "direct")
 
 
 class TestSymmetrySplit:

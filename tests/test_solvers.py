@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pintsolve as ps
 from pintsolve.errors import InputError, NotSpdError, SolverDivergenceError
+from pintsolve.linalg import BlockBasis
 
 import conftest as oracle
 
@@ -395,6 +396,26 @@ class TestHistoryClocks:
 
 
 class TestBlockDiagSolver:
+    @pytest.mark.parametrize("kind", ["mg", "jacobi"])
+    def test_column_blocks_match_their_own_solves(self, kind):
+        # three column blocks of 50 steps, each solved in a contiguous work
+        # block and divided on the way into its columns of the result: bit
+        # for bit the solve of that block on its own
+        grid = ps.build_time_grid("perturbed", 150, 1.0, perturbation=0.3, seed=6)
+        spec = ps.make_heat_problem("1d", 8, grid, data="zero", coeff=lambda t: 1.0 + t)
+        hier = ps.build_mg_hierarchy("1d", 8)
+        at = ps.BlockDiagSolver(spec, kind, hierarchy=hier)
+        ((base, _, scales),) = spec.step_groups
+        solver = ps.make_solver(base, kind, hierarchy=hier)
+        divisor = spec.grid.steps * scales
+        b = np.asfortranarray(np.random.default_rng(6).standard_normal((spec.N, spec.dim)))
+        want = np.empty((spec.dim, spec.N))
+        parts = ps.parallel.chunks(spec.N, solver.block_columns)
+        assert len(parts) == 3
+        for cols in parts:
+            want[:, cols] = solver.apply(np.ascontiguousarray(b.T[:, cols])) / divisor[cols]
+        assert np.array_equal(at.apply_inverse(b), want.T)
+
     @pytest.mark.parametrize("kind", ["direct", "mg"])
     def test_proportional_steps_match_per_step_solvers(self, kind):
         # a time-dependent coefficient makes every step operator a different
@@ -432,7 +453,8 @@ class TestBlockDiagSolver:
     @pytest.mark.parametrize("kind", ["direct", "mg", "jacobi"])
     @pytest.mark.parametrize("groups", ["one", "three"])
     def test_out_matches_returned_block(self, kind, groups):
-        # one group solves in out's own columns; interleaved groups gather
+        # each column block is solved into a work block, then divided into
+        # out's columns: a column slice for one group, gathered for three
         if groups == "one":
             grid = ps.build_time_grid("perturbed", 30, 1.0, perturbation=0.3, seed=5)
             spec = ps.make_heat_problem("1d", 8, grid, data="zero")
@@ -586,10 +608,10 @@ def modal_calls(ht):
     calls = []
     apply_inverse = ht.apply_inverse
 
-    def counted(r, slab=None):
+    def counted(r, slab=None, out=None):
         if slab is not None:
             calls.append(1)
-        return apply_inverse(r, slab=slab)
+        return apply_inverse(r, slab=slab, out=out)
 
     ht.apply_inverse = counted
     return calls
@@ -1009,36 +1031,28 @@ class TestMinresEigenbasisPath:
     @staticmethod
     def spy(monkeypatch):
         """Counts of saddle products, eigenbasis applications of any Htilde
-        and maps back to nodal values (one per exact norm; p and u come from
-        the last one when the stop was decided on it)."""
-        counts = {"saddle": 0, "eigenbasis": 0, "from_basis": 0}
+        and exact norms of the iterate in the eigenbasis (p and u are folded
+        from the last one's products when the stop was decided on it)."""
+        counts = {"saddle": 0, "eigenbasis": 0, "exact_norm": 0}
         apply_saddle = ps.TimeGlobalSystem.apply_saddle
         apply_inverse = ps.SchurPreconditioner.apply_inverse
-        modal_set = ps.solvers._modal_set
+        norm = BlockBasis.norm
 
         def saddle(self, p, u):
             counts["saddle"] += 1
             return apply_saddle(self, p, u)
 
-        def inverse(self, r, slab=None):
+        def inverse(self, r, slab=None, out=None):
             counts["eigenbasis"] += slab is not None
-            return apply_inverse(self, r, slab=slab)
+            return apply_inverse(self, r, slab=slab, out=out)
 
-        def counted_set(*args):
-            ops = modal_set(*args)
-            if ops is None:
-                return None
-            from_basis = ops.from_basis
-
-            def counted(x):
-                counts["from_basis"] += 1
-                return from_basis(x)
-
-            return dataclasses.replace(ops, from_basis=counted)
+        def counted_norm(self, c, work):
+            counts["exact_norm"] += 1
+            return norm(self, c, work)
 
         monkeypatch.setattr(ps.TimeGlobalSystem, "apply_saddle", saddle)
         monkeypatch.setattr(ps.SchurPreconditioner, "apply_inverse", inverse)
-        monkeypatch.setattr(ps.solvers, "_modal_set", counted_set)
+        monkeypatch.setattr(BlockBasis, "norm", counted_norm)
         return counts
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1079,7 +1093,7 @@ class TestMinresEigenbasisPath:
         # beta_1, then one application per iteration: the positivity check
         # in the eigenbasis is exact and applies nothing
         assert counts["eigenbasis"] == hist.iterations + 1
-        exact_norms = counts["from_basis"]
+        exact_norms = counts["exact_norm"]
         assert 1 <= exact_norms <= hist.iterations // 3
 
     def test_nodal_products_go_through_apply_saddle(self, monkeypatch):
@@ -1097,17 +1111,17 @@ class TestMinresEigenbasisPath:
         system, at, ht = setup(spec)
         counts = self.spy(monkeypatch)
         (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-12)
-        certified = counts["from_basis"]
+        certified = counts["exact_norm"]
 
         class Uncertified:
             def __init__(self, mat):
                 raise NotSpdError("forced")
 
         monkeypatch.setattr(ps.solvers, "SpdFactor", Uncertified)
-        counts["from_basis"] = 0
+        counts["exact_norm"] = 0
         (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-12)
         # without a floor the exact norm is taken at every iteration
-        assert counts["from_basis"] == h2.iterations > certified
+        assert counts["exact_norm"] == h2.iterations > certified
         assert h1.converged and h2.converged
         assert h1.iterations == h2.iterations
         assert h1.residual == h2.residual
@@ -1150,7 +1164,7 @@ class TestMinresEigenbasisPath:
         counts = self.spy(monkeypatch)
         with pytest.raises(NotSpdError):
             ps.minres_solve(system, at, bad, tol=1e-10)
-        assert counts == {"saddle": 0, "eigenbasis": 0, "from_basis": 0}
+        assert counts == {"saddle": 0, "eigenbasis": 0, "exact_norm": 0}
 
     def test_duck_typed_preconditioner_stays_nodal(self, monkeypatch):
         grid = ps.build_time_grid("uniform", 8, 1.0)
@@ -1163,10 +1177,57 @@ class TestMinresEigenbasisPath:
 
         counts = self.spy(monkeypatch)
         (p1, u1), h1 = ps.minres_solve(system, at, Plain(), tol=1e-10)
-        assert counts["eigenbasis"] == counts["from_basis"] == 0
+        assert counts["eigenbasis"] == counts["exact_norm"] == 0
         (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-10)
         assert h1.iterations == h2.iterations
         assert relative(u2, u1) <= 1e-10
+
+
+class TestMinresEigenbasisForms:
+    """The eigenbasis MINRES loop runs its saddle product in flat passes,
+    Htilde^-1 in its work block and the exact norm from the class products
+    alone.  Against the forms before (the strided saddle product, a copied
+    Htilde^-1 result, the norm of the whole nodal iterate) it takes the same
+    iterations and gives p and u bit for bit, at the size of the
+    ``heat2d-varcoef-minres`` benchmark (2d h=1/32, N=200)."""
+
+    @staticmethod
+    def earlier_forms(monkeypatch):
+        apply_inverse = ps.SchurPreconditioner.apply_inverse
+        norm = BlockBasis.norm
+
+        def saddle(w, d, p, u, top, bottom):
+            oracle.strided_weighted_saddle_product(w, p, u, top, bottom)
+
+        def copied(self, r, slab=None, out=None):
+            y = apply_inverse(self, r, slab=slab)
+            if out is None:
+                return y
+            out[...] = y
+            return out
+
+        def nodal_norm(self, c, work):
+            norm(self, c, work)
+            return float(np.linalg.norm(self.synthesis(c)))
+
+        monkeypatch.setattr(ps.solvers, "weighted_saddle_product", saddle)
+        monkeypatch.setattr(ps.SchurPreconditioner, "apply_inverse", copied)
+        monkeypatch.setattr(BlockBasis, "norm", nodal_norm)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_same_iterates_as_earlier_forms(self, seed, monkeypatch):
+        grid = ps.build_time_grid("perturbed", 200, 1.0, perturbation=0.3, seed=seed)
+        spec = ps.make_heat_problem("2d", 32, grid, data="random", seed=seed,
+                                    coeff=lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
+        system, at, ht = setup(spec)
+        assert ps.solvers._modal_set(system, at, ht) is not None
+        (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-8)
+        self.earlier_forms(monkeypatch)
+        (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=1e-8)
+        assert h1.converged and h1.iterations > 20
+        assert h1.iterations == h2.iterations
+        assert h1.residual == h2.residual
+        assert np.array_equal(u1, u2) and np.array_equal(p1, p2)
 
 
 class TestMinresWorkBlocks:
