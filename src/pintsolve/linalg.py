@@ -351,8 +351,9 @@ class BlockBasis:
     ``synthesis`` apply V' and V along axis -2 of an array of two or more
     dimensions, as matmul would: the fold (one sparse product) and one GEMM
     per block on its whole rows, so that no result depends on the thread
-    count.  ``norm`` takes ||V c||_2 from the GEMMs alone, and ``fold``
-    finishes the synthesis from them.  Immutable.
+    count.  ``products`` writes the GEMMs alone into a given block, ``norm``
+    takes ||V c||_2 from them, and ``fold`` finishes the synthesis from
+    them.  Immutable.
     """
 
     __slots__ = ("lam", "vectors", "bounds", "_q", "_qt")
@@ -388,14 +389,19 @@ class BlockBasis:
 
     def fold(self, x: np.ndarray) -> np.ndarray:
         """Q x, the vector whose class components are x (x itself without a
-        fold): ``fold(work)`` after ``norm(c, work)`` is ``synthesis(c)``."""
+        fold): ``fold(products(c, work))`` is ``synthesis(c)``."""
         return x if self._q is None else _sparse_matmul(self._q, x)
+
+    def products(self, c: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The class products V_b c_b, written into work, a C-order array
+        of c's shape that does not overlap c, and returned."""
+        return self._blockwise(c, transpose=False, out=work)
 
     def norm(self, c: np.ndarray, work: np.ndarray) -> float:
         """||V c||_2 = sqrt(sum_b ||V_b c_b||^2) over all of c: the fold is
-        orthogonal, so it is skipped.  The class products V_b c_b go into
-        work, a C-order array of c's shape that does not overlap c."""
-        self._blockwise(c, transpose=False, out=work)
+        orthogonal, so it is skipped.  The class products go into work (see
+        ``products``)."""
+        self.products(c, work)
         return float(np.sqrt(np.vdot(work, work)))
 
     def dense(self) -> np.ndarray:

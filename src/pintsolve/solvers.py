@@ -265,7 +265,8 @@ def _modal_set(system: TimeGlobalSystem, atilde: BlockDiagSolver,
     if s_ref is None:
         return None
     tau_s = spec.grid.steps * scales
-    w = np.asfortranarray(np.outer(tau_s / (spec.tau_ref * s_ref), basis.lam))
+    # the transpose of a C-order (dim, N) product is the Fortran-order w
+    w = (basis.lam[:, None] * (tau_s / (spec.tau_ref * s_ref))).T
     width = max(1, SLAB_BYTES // (8 * spec.N))
     # each map acts on the (dim, N) view of a Fortran-order block, and
     # returns a Fortran-order block
@@ -299,6 +300,70 @@ def _mass_floor(mass: SpatialMatrix) -> float:
     except NotSpdError:
         return 0.0
     return sigma
+
+
+def _mass_ceiling(mass: SpatialMatrix) -> float:
+    """tau >= lambda_max(M): M's largest absolute row sum (Gershgorin).  The
+    eigenbasis V of a pencil with mass M has V V' = M^-1, so
+    ||x_hat V'|| >= ||x_hat|| / sqrt(tau)."""
+    return float(abs(mass.tocsr()).sum(axis=1).max())
+
+
+class _NormBracket:
+    """Certified bounds lo <= ||x||_2 <= hi on the nodal norm of the MINRES
+    iterate x = x_hat V' in the eigenbasis V of a pencil with mass M, and
+    scipy's stop decided from them (see ``minres_solve``).
+
+    Before any exact norm, the bracket is ||x_hat|| / sqrt(tau) and
+    ||x_hat|| / sqrt(sigma), tau from ``_mass_ceiling`` and sigma from
+    ``_mass_floor``.  After an exact norm E, it is E -+ rho, where rho sums
+    |phi_k| ||w_k|| / sqrt(sigma) over the updates x_hat += phi_k w_k since
+    E, because ||V w|| <= ||w|| / sqrt(sigma).  Each end is padded by the
+    relative size * eps, for the rounding of the computed norms.
+
+    test1 falls and the eps-accuracy test rises as ynorm grows, and no other
+    test reads it.  With tol >= eps, test1 + 1 <= 1 implies test1 <= tol,
+    so as ynorm grows istop reads a value of the other tests (0, 2, 4 or 6),
+    then 3, then 1, each over one interval; or 2, then 1.  A stop that is
+    the same at both ends is then the same for every ynorm between them.
+    Below tol = eps, and when M has no certified floor (sigma = 0), every
+    stop is decided on the exact norm.
+    """
+
+    def __init__(self, basis: BlockBasis, mass: SpatialMatrix, size: int, tol: float):
+        eps = np.finfo(np.float64).eps
+        sigma = _mass_floor(mass) if tol >= eps else 0.0
+        self.basis = basis
+        # ||V c|| <= ||c|| * scale; 0 takes the exact norm at every stop
+        self.scale = 1.0 / np.sqrt(sigma) if sigma > 0.0 else 0.0
+        self.lower = 1.0 / np.sqrt(_mass_ceiling(mass))
+        self.pad = size * eps
+        self.exact = None
+        self.radius = 0.0
+
+    def advance(self, phi: float, w: np.ndarray) -> None:
+        """Widen the bracket around the last exact norm for x_hat += phi w."""
+        if self.scale and self.exact is not None:
+            self.radius += abs(phi) * float(np.linalg.norm(w)) * self.scale
+
+    def decide(self, itn: int, x: np.ndarray, stop: Callable[[int, float], int],
+               block: Callable[[], np.ndarray]) -> tuple[int, np.ndarray | None]:
+        """stop(itn, ||x||_2) for the coefficients x, and the work block (from
+        block()) holding the class products of the exact norm when one was
+        taken, else None."""
+        if self.scale:
+            if self.exact is None:
+                norm = float(np.linalg.norm(x))
+                lo, hi = norm * self.lower, norm * self.scale
+            else:
+                lo, hi = self.exact - self.radius, self.exact + self.radius
+            istop = stop(itn, max(lo * (1.0 - self.pad), 0.0))
+            if stop(itn, hi * (1.0 + self.pad)) == istop:
+                return istop, None
+        products = block()
+        self.exact = self.basis.norm(x, products)
+        self.radius = 0.0
+        return stop(itn, self.exact), products
 
 
 def uzawa_solve(
@@ -628,9 +693,10 @@ def minres_solve(
 
     When both block solves are exact in the eigenbasis of htilde (see
     ``_modal_set``), the recurrence runs on the basis coefficients, and p and
-    u are mapped back once at the end, together: by folding the class
-    products of the exact norm when the last stop was decided on it, else by
-    one more map.  The saddle product there is ``weighted_saddle_product``
+    u are mapped back once at the end, together, by folding class products
+    (``BlockBasis.fold``): those of the exact norm when the last stop was
+    decided on it, else those of x written into a spare work block.  The
+    saddle product there is ``weighted_saddle_product``
     into the work block, Htilde^-1 runs in its work block, and P
     is diag(1/w) and, per spatial mode j, 4 S diag(D[:, j]) S' with S the
     DST synthesis map and D ``htilde.mode_weights()``: it is SPD exactly when
@@ -638,16 +704,17 @@ def minres_solve(
     The scalars of the recurrence pair a primal block with a dual one and do
     not depend on the basis; scipy's tests also read ynorm = ||x||_2 of the
     nodal iterate, which the basis does not preserve.  Each iteration
-    therefore tests first with the bound ||x_hat||_2 / sqrt(sigma) >=
-    ||x||_2, sigma a certified floor of M's spectrum (see ``_mass_floor``),
-    and only when some test would stop with it takes the exact
-    ||x_hat V'||_2 and decides on that: ``BlockBasis.norm``, one dense
-    product per symmetry class into a spare work block and no fold, which
-    is orthogonal.  No test can stop for the bound and
-    not for the exact norm, so the stops are scipy's.  Without a floor the
-    exact norm is taken at every iteration.  Otherwise the recurrence runs
-    on nodal values, and each saddle product is one ``system.apply_saddle``.
-    Both give the same iterates up to rounding.
+    therefore decides its stop from certified bounds lo <= ||x||_2 <= hi
+    (``_NormBracket``), and only when the two ends stop differently takes
+    the exact ||x_hat V'||_2 and decides on that: ``BlockBasis.norm``, one
+    dense product per symmetry class into a spare work block and no fold,
+    which is orthogonal.  Every ynorm between two ends that stop alike
+    stops alike, so the stops and iterates are those of the exact norm at
+    every iteration, and the stops are scipy's.  Without a certified floor
+    of M's spectrum, or below tol = eps, the exact norm is taken at every
+    iteration.  Otherwise
+    the recurrence runs on nodal values, and each saddle product is one
+    ``system.apply_saddle``.  Both give the same iterates up to rounding.
     """
     check_minres_options(tol, max_iter)
     ops = _modal_set(system, atilde, htilde)
@@ -709,11 +776,7 @@ def minres_solve(
     if beta1 == 0.0:
         hist.converged = True
         return (x[0].T, x[1].T), hist
-    # 1 / sqrt(sigma) scales ||x_hat|| to the bound; 0 takes the exact norm
-    bound_scale = 0.0
-    if modal:
-        sigma = _mass_floor(system.spec.mass)
-        bound_scale = 1.0 / np.sqrt(sigma) if sigma > 0.0 else 0.0
+    bracket = _NormBracket(ops.basis, system.spec.mass, x.size, tol) if modal else None
 
     istop = 0
     oldb = 0.0
@@ -797,20 +860,16 @@ def minres_solve(
         spare.append(w1)
         w1, w2 = w2, v
         _axpy(phi, w2, x)
+        if bracket is not None:
+            bracket.advance(phi, w2)
 
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
         if istop == 0:
-            if bound_scale:
-                istop = stop(itn, np.linalg.norm(x) * bound_scale)
-            if istop or not bound_scale:
-                # ||x||_2 on nodal values
-                if modal:
-                    products = block()
-                    ynorm = ops.basis.norm(x, products)
-                else:
-                    ynorm = np.linalg.norm(x)
-                istop = stop(itn, ynorm)
+            if bracket is None:
+                istop = stop(itn, np.linalg.norm(x))
+            else:
+                istop, products = bracket.decide(itn, x, stop, block)
 
         fft, spatial = _clocks(atilde, htilde)
         hist.append(float(phibar / beta1), None, None, time.perf_counter() - t0,
@@ -818,10 +877,11 @@ def minres_solve(
         if istop != 0:
             break
     hist.converged = istop != 6
-    # p and u in one map: from the products of the last exact norm when it
-    # decided the stop
-    if products is not None:
+    # p and u in one map, which folds the class products of the last exact
+    # norm when it decided the stop, else of x in a spare work block
+    nodal = x
+    if modal:
+        if products is None:
+            products = ops.basis.products(x, block())
         nodal = ops.basis.fold(products)
-    else:
-        nodal = ops.from_basis(x.T).T
     return (nodal[0].T, nodal[1].T), hist

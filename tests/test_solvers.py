@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from pintsolve.errors import InputError, NotSpdError, SolverDivergenceError
 from pintsolve.linalg import BlockBasis
 
 import conftest as oracle
+
+# the exact norm itself, whatever a test patches over it
+exact_norm = BlockBasis.norm
 
 
 def setup(spec, solver="direct"):
@@ -1025,8 +1029,8 @@ class TestSlabs:
 class TestMinresEigenbasisPath:
     """With direct block solves on a problem with one step group, MINRES runs
     its recurrence on the coefficients in the eigenbasis of (tau_ref A_ref, M)
-    and keeps scipy's stopping rule: it tests a certified upper bound on
-    ||x||_2 first and decides every stop on the exact norm."""
+    and keeps scipy's stopping rule: it decides each stop from certified
+    bounds on ||x||_2, and on the exact norm where they stop differently."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -1093,8 +1097,8 @@ class TestMinresEigenbasisPath:
         # beta_1, then one application per iteration: the positivity check
         # in the eigenbasis is exact and applies nothing
         assert counts["eigenbasis"] == hist.iterations + 1
-        exact_norms = counts["exact_norm"]
-        assert 1 <= exact_norms <= hist.iterations // 3
+        # the certified bracket leaves at most the stop to the exact norm
+        assert counts["exact_norm"] <= 1
 
     def test_nodal_products_go_through_apply_saddle(self, monkeypatch):
         # multigrid block solves keep the recurrence on nodal values, where
@@ -1124,6 +1128,45 @@ class TestMinresEigenbasisPath:
         assert counts["exact_norm"] == h2.iterations > certified
         assert h1.converged and h2.converged
         assert h1.iterations == h2.iterations
+        assert h1.residual == h2.residual
+        assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
+
+    @staticmethod
+    def checked_stops(monkeypatch):
+        """Counts the stops that the bracket decides without an exact norm;
+        at each one the exact norm is taken aside, and stop must give the
+        same istop on it."""
+        counts = {"bracket": 0}
+        decide = ps.solvers._NormBracket.decide
+
+        def checked(self, itn, x, stop, block):
+            istop, products = decide(self, itn, x, stop, block)
+            if products is None:
+                counts["bracket"] += 1
+                assert stop(itn, exact_norm(self.basis, x, np.empty(x.shape))) == istop
+            return istop, products
+
+        monkeypatch.setattr(ps.solvers._NormBracket, "decide", checked)
+        return counts
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(["1d", "2d"]),
+           digits=st.integers(6, 12))
+    def test_bracket_gives_the_stops_of_the_exact_norm(self, seed, space, digits):
+        # the certified run against one that takes the exact norm at every
+        # iteration (no floor, as in test_uncertified_floor_gives_the_same_stop)
+        spec = oracle.random_spec(np.random.default_rng(seed), space=space)
+        system, at, ht = setup(spec)
+        tol = 10.0 ** -digits
+        with pytest.MonkeyPatch.context() as mp:
+            counts = self.checked_stops(mp)
+            (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=tol)
+            assert counts["bracket"] >= h1.iterations - 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ps.solvers, "_mass_floor", lambda mass: 0.0)
+            (p2, u2), h2 = ps.minres_solve(system, at, ht, tol=tol)
+        assert h1.iterations == h2.iterations
+        assert h1.converged == h2.converged
         assert h1.residual == h2.residual
         assert np.array_equal(p1, p2) and np.array_equal(u1, u2)
 
@@ -1216,10 +1259,7 @@ class TestMinresEigenbasisForms:
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_same_iterates_as_earlier_forms(self, seed, monkeypatch):
-        grid = ps.build_time_grid("perturbed", 200, 1.0, perturbation=0.3, seed=seed)
-        spec = ps.make_heat_problem("2d", 32, grid, data="random", seed=seed,
-                                    coeff=lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
-        system, at, ht = setup(spec)
+        system, at, ht = setup(varcoef_spec(seed))
         assert ps.solvers._modal_set(system, at, ht) is not None
         (p1, u1), h1 = ps.minres_solve(system, at, ht, tol=1e-8)
         self.earlier_forms(monkeypatch)
@@ -1228,6 +1268,118 @@ class TestMinresEigenbasisForms:
         assert h1.iterations == h2.iterations
         assert h1.residual == h2.residual
         assert np.array_equal(u1, u2) and np.array_equal(p1, p2)
+
+
+def varcoef_spec(seed):
+    """The problem of the ``heat2d-varcoef-minres`` benchmark: 2d h=1/32,
+    N=200 perturbed steps, a coefficient c(t)."""
+    grid = ps.build_time_grid("perturbed", 200, 1.0, perturbation=0.3, seed=seed)
+    return ps.make_heat_problem("2d", 32, grid, data="random", seed=seed,
+                                coeff=lambda t: 1.0 + 0.5 * np.sin(3.0 * t))
+
+
+class TestNormBracket:
+    """The eigenbasis MINRES loop decides its stops from certified bounds
+    on ||x||_2 (``solvers._NormBracket``): the Gershgorin ceiling and the
+    certified floor of M's spectrum, and after an exact norm that norm
+    with a growing radius."""
+
+    @staticmethod
+    def masses():
+        rng = np.random.default_rng(31)
+        masses = {"1d": ps.assemble_mass_stiffness_1d(16)[0],
+                  "2d": ps.assemble_mass_stiffness_2d(8)[0]}
+        grid = ps.build_time_grid("uniform", 4, 1.0)
+        spec = ps.make_heat_problem("2d", 8, grid, data="random", seed=2)
+        masses["renumbered"] = oracle.renumbered_spec(spec, seed=3).mass
+        for k in range(4):
+            a = rng.standard_normal((12, 12))
+            masses[f"random{k}"] = ps.SpatialMatrix.from_dense(
+                a @ a.T + 10.0 ** -k * np.eye(12))
+        return masses
+
+    @pytest.mark.parametrize("name", ["1d", "2d", "renumbered", "random0",
+                                      "random1", "random2", "random3"])
+    def test_both_spectral_ends(self, name):
+        mass = self.masses()[name]
+        lam = np.linalg.eigvalsh(mass.todense())
+        ceiling = ps.solvers._mass_ceiling(mass)
+        floor = ps.solvers._mass_floor(mass)
+        assert ceiling >= lam[-1]
+        assert 0.0 <= floor <= lam[0]
+        if name in ("1d", "2d", "renumbered"):
+            # an assembled mass has a certified floor
+            assert floor > 0.0
+
+    def test_uncertified_mass_takes_the_exact_norm_at_every_iteration(self, monkeypatch):
+        # M = a I + c 1 1' has lambda_min = a below a quarter of its
+        # diagonal a + c, so M - sigma I has no Cholesky factor
+        grid = ps.build_time_grid("perturbed", 8, 1.0, perturbation=0.3, seed=4)
+        spec = ps.make_heat_problem("1d", 16, grid, data="random", seed=4)
+        dim = spec.dim
+        mass = ps.SpatialMatrix.from_dense(0.01 * np.eye(dim) + 0.1 * np.ones((dim, dim)))
+        assert ps.solvers._mass_floor(mass) == 0.0
+        spec = dataclasses.replace(spec, mass=mass)
+        system, at, ht = setup(spec)
+        assert ps.solvers._modal_set(system, at, ht) is not None
+        counts = TestMinresEigenbasisPath.spy(monkeypatch)
+        _, hist = ps.minres_solve(system, at, ht, tol=1e-10)
+        assert hist.iterations > 3
+        assert counts["exact_norm"] == hist.iterations
+
+    def test_tolerance_below_eps_takes_the_exact_norm_at_every_iteration(
+            self, monkeypatch):
+        # below eps, test1 + 1 <= 1 may stop where a larger ynorm would not
+        # stop alike, so the bracket decides nothing
+        spec = oracle.random_spec(np.random.default_rng(24), space="1d")
+        system, at, ht = setup(spec)
+        counts = TestMinresEigenbasisPath.spy(monkeypatch)
+        _, hist = ps.minres_solve(system, at, ht, tol=1e-17, max_iter=8)
+        assert counts["exact_norm"] == hist.iterations > 1
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_one_exact_norm_per_benchmark_solve(self, seed, monkeypatch):
+        system, at, ht = setup(varcoef_spec(seed))
+        checked = TestMinresEigenbasisPath.checked_stops(monkeypatch)
+        counts = TestMinresEigenbasisPath.spy(monkeypatch)
+        _, hist = ps.minres_solve(system, at, ht, tol=1e-8)
+        assert hist.converged and hist.iterations > 20
+        assert counts["exact_norm"] <= 1
+        assert checked["bracket"] == hist.iterations - counts["exact_norm"]
+
+    def test_iteration_limit_maps_through_a_spare_block(self, monkeypatch):
+        # a stop at max_iter is decided on the bracket, so the final map
+        # writes the class products of x into a spare work block and folds
+        # them: the bits of ops.from_basis, with one new block at most
+        system, at, ht = setup(varcoef_spec(1))
+        counts = TestMinresEigenbasisPath.spy(monkeypatch)
+        seen = {}
+        products, fold = BlockBasis.products, BlockBasis.fold
+
+        def traced_products(self, c, work):
+            seen["x"] = c.copy()
+            tracemalloc.reset_peak()
+            seen["start"] = tracemalloc.get_traced_memory()[0]
+            return products(self, c, work)
+
+        def traced_fold(self, x):
+            result = fold(self, x)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        monkeypatch.setattr(BlockBasis, "products", traced_products)
+        monkeypatch.setattr(BlockBasis, "fold", traced_fold)
+        tracemalloc.start()
+        try:
+            (p, u), hist = ps.minres_solve(system, at, ht, tol=1e-8, max_iter=5)
+        finally:
+            tracemalloc.stop()
+        assert not hist.converged and hist.iterations == 5
+        assert counts["exact_norm"] == 0
+        x = seen["x"]
+        want = ps.solvers._modal_set(system, at, ht).from_basis(x.T).T
+        assert np.array_equal(p, want[0].T) and np.array_equal(u, want[1].T)
+        assert seen["peak"] - seen["start"] <= x.nbytes + 64 * 1024
 
 
 class TestMinresWorkBlocks:
